@@ -275,23 +275,23 @@ def validate_parent(g: ParentGraph) -> ValidationReport:
                     "generating order (acyclicity)"
                 )
     sym = ((a + a.T) > 0).astype(np.int8)
-    connected = _connected(sym)
+    connected = n == 0 or len(_reachable(sym, [0])) == n
     return ValidationReport(problems=tuple(problems), connected=connected)
 
 
-def _connected(sym: np.ndarray) -> bool:
-    n = sym.shape[0]
-    if n <= 1:
-        return True
-    seen = {0}
-    stack = [0]
+def _reachable(sym: np.ndarray, start: Iterable[int], blocked: Iterable[int] = ()) -> set[int]:
+    """Nodes reachable from ``start`` along the nonzero entries of ``sym``
+    without entering a ``blocked`` node; the start nodes included."""
+    blocked = set(blocked)
+    seen = set(start)
+    stack = list(seen)
     while stack:
-        x = stack.pop()
-        for y in np.flatnonzero(sym[x]):
-            if y not in seen:
-                seen.add(int(y))
-                stack.append(int(y))
-    return len(seen) == n
+        for y in np.flatnonzero(sym[stack.pop()]):
+            y = int(y)
+            if y not in seen and y not in blocked:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def validate_summary(g: SummaryGraph) -> ValidationReport:
@@ -315,8 +315,9 @@ def validate_summary(g: SummaryGraph) -> ValidationReport:
     # By construction only arrows can point from v to u and only full lines
     # live within v, so those placement rules are enforced by the component
     # shapes themselves; nothing further to check here.
-    sym = _skeleton(g)
-    return ValidationReport(problems=tuple(problems), connected=_connected(sym))
+    n = len(g.nodes)
+    connected = n == 0 or len(_reachable(_skeleton(g), [0])) == n
+    return ValidationReport(problems=tuple(problems), connected=connected)
 
 
 def _skeleton(g: SummaryGraph) -> np.ndarray:

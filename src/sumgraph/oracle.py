@@ -19,10 +19,11 @@ import numpy as np
 from .edge_matrix import indicator, partial_invert
 from .graph_model import Mag, NodeId, ParentGraph, SummaryGraph
 from .transform import (
+    _REAL,
     MarginalConditionSpec,
-    compute_split,
+    _reduce_parent,
+    _reduce_summary,
     mag_from_summary,
-    reach_closure,
     summary_from_parent,
 )
 
@@ -211,67 +212,10 @@ def partial_correlation(cov: CovariancePair, i: int, k: int, given: Iterable[int
 
 
 def derive_linear_summary(sys: TriangularSystem, spec: MarginalConditionSpec) -> LinearSummaryModel:
-    """Reduce A Y = eps by conditioning on C and marginalising over M.
-
-    Mirrors the edge-matrix derivation exactly: the coefficient matrix is
-    arranged in the order (p, u, q, v) with the concentration of the foster
-    nodes given C in the lower block, then partially inverted on p and on q.
-    """
-    g = sys.graph
-    split = compute_split(g, spec)
-    idx = {n: i for i, n in enumerate(g.nodes)}
-    a = sys.a
-    r_nodes = [n for n in g.nodes if n in spec.conditioning or n in set(split.foster)]
-    r = [idx[n] for n in r_nodes]
-    arr_nodes = list(split.p) + list(split.u) + list(split.q) + list(split.v)
-    arr = [idx[n] for n in arr_nodes]
-    n_p, n_u, n_q, n_v = map(len, (split.p, split.u, split.q, split.v))
-    sl_u = slice(n_p, n_p + n_u)
-    sl_q = slice(n_p + n_u, n_p + n_u + n_q)
-    sl_v = slice(n_p + n_u + n_q, None)
-    sl_p = slice(0, n_p)
-
-    t = np.zeros((len(arr), len(arr)))
-    if n_p + n_u:
-        t[: n_p + n_u, :] = a[np.ix_(arr[: n_p + n_u], arr)]
-    if r:
-        a_rr = a[np.ix_(r, r)]
-        d_rr_inv = np.diag(1.0 / sys.dvar[r])
-        conc_rr = a_rr.T @ d_rr_inv @ a_rr
-        f_nodes = [n for n in r_nodes if n in set(split.foster)]
-        f_in_r = [i for i, n in enumerate(r_nodes) if n in set(split.foster)]
-        s_ff_o = conc_rr[np.ix_(f_in_r, f_in_r)]
-        f_pos = {n: i for i, n in enumerate(f_nodes)}
-        perm = [f_pos[n] for n in list(split.q) + list(split.v)]
-        t[n_p + n_u:, n_p + n_u:] = s_ff_o[np.ix_(perm, perm)]
-
-    p_pos = list(range(n_p))
-    q_pos = list(range(n_p + n_u, n_p + n_u + n_q))
-    d = partial_invert(t, p_pos)
-    k = partial_invert(d, q_pos)
-
-    h_uu = k[sl_u, sl_u]
-    h_uv = k[sl_u, sl_v]
-    s_vv = k[sl_v, sl_v]
-    sigma_qq = k[sl_q, sl_q]
-    d_up = d[sl_u, sl_p]
-    d_uq = d[sl_u, sl_q]
-    delta_uu = np.diag(sys.dvar[[idx[n] for n in split.u]])
-    delta_pp = np.diag(sys.dvar[[idx[n] for n in split.p]])
-    w_uu = delta_uu + d_up @ delta_pp @ d_up.T + d_uq @ sigma_qq @ d_uq.T
-    w_uu = 0.5 * (w_uu + w_uu.T)
-    s_vv = 0.5 * (s_vv + s_vv.T)
-
-    model = LinearSummaryModel(
-        u_nodes=split.u,
-        v_nodes=split.v,
-        h_uu=h_uu,
-        h_uv=h_uv,
-        w_uu=w_uu,
-        s_vv=s_vv,
-        conditioning=spec.conditioning,
-        marginalising=spec.marginalising,
-    )
+    """Reduce A Y = eps by conditioning on C and marginalising over M: the
+    block derivation of ``summary_from_parent`` run with partial inversion."""
+    split, blocks = _reduce_parent(sys.graph, spec, _REAL, sys.a, sys.dvar)
+    model = LinearSummaryModel(split.u, split.v, *blocks, spec.conditioning, spec.marginalising)
     _check_recovered_conditional_covariance(sys, model)
     return model
 
@@ -295,104 +239,13 @@ def derive_linear_summary_from_summary(
     model: LinearSummaryModel, spec: MarginalConditionSpec
 ) -> LinearSummaryModel:
     """Reduce an already-reduced system further, staying inside the model
-    class.  Conditioning within u orthogonalises the outsider equations
-    against the conditioned block and its foster ancestors; marginalising
-    partially inverts on the dropped nodes.  The residual covariance picks
-    up the cross terms between surviving and marginalised outsiders."""
-    spec.validate_over(model.nodes)
-    mu = list(model.u_nodes)
-    nu_nodes = list(model.v_nodes)
-    mu_pos = {n: i for i, n in enumerate(mu)}
-    c_mu = [n for n in mu if n in spec.conditioning]
-    c_nu = [n for n in nu_nodes if n in spec.conditioning]
-
-    closed_uu = reach_closure(indicator(model.h_uu))
-    f_mu = [
-        n
-        for n in mu
-        if n not in spec.conditioning
-        and any(closed_uu[mu_pos[c], mu_pos[n]] for c in c_mu)
-    ]
-    r = [n for n in mu if n in set(c_mu) | set(f_mu)]
-    o = [n for n in mu if n not in set(r)]
-    phi = list(f_mu) + [n for n in nu_nodes if n not in set(c_nu)]
-    h = [n for n in o if n in spec.marginalising]
-    l = [n for n in phi if n in spec.marginalising]
-    u_new = [n for n in o if n not in set(h)]
-    v_new = [n for n in phi if n not in set(l)]
-
-    r_idx = [mu_pos[n] for n in r]
-    o_idx = [mu_pos[n] for n in o]
-    b_uu = model.h_uu
-    b_uv = model.h_uv
-    q_full = partial_invert(model.w_uu, r_idx)
-
-    n_nu = len(nu_nodes)
-    brr = b_uu[np.ix_(r_idx, r_idx)]
-    brv = b_uv[np.ix_(r_idx, range(n_nu))]
-    qrr = q_full[np.ix_(r_idx, r_idx)]
-    s_psi = np.zeros((len(r) + n_nu,) * 2)
-    if r:
-        s_psi[: len(r), : len(r)] = brr.T @ qrr @ brr
-        s_psi[: len(r), len(r):] = brr.T @ qrr @ brv
-        s_psi[len(r):, : len(r)] = s_psi[: len(r), len(r):].T
-    s_psi[len(r):, len(r):] = model.s_vv + (brv.T @ qrr @ brv if r else 0.0)
-    psi_nodes = r + nu_nodes
-    psi_pos = {n: i for i, n in enumerate(psi_nodes)}
-    phi_idx = [psi_pos[n] for n in phi]
-    s_phi = s_psi[np.ix_(phi_idx, phi_idx)]
-
-    q_or = q_full[np.ix_(o_idx, r_idx)]
-    b_o_psi = np.concatenate([b_uu[np.ix_(o_idx, r_idx)], b_uv[o_idx, :]], axis=1)
-    b_r_psi = np.concatenate([brr, brv], axis=1)
-    c_o_psi = b_o_psi - (q_or @ b_r_psi if r else 0.0)
-    c_o_phi = c_o_psi[:, phi_idx]
-
-    big_nodes = o + phi
-    big_pos = {n: i for i, n in enumerate(big_nodes)}
-    big = np.zeros((len(big_nodes),) * 2)
-    big[: len(o), : len(o)] = b_uu[np.ix_(o_idx, o_idx)]
-    big[: len(o), len(o):] = c_o_phi
-    big[len(o):, len(o):] = s_phi
-
-    hl_idx = [big_pos[n] for n in h] + [big_pos[n] for n in l]
-    k = partial_invert(big, hl_idx)
-
-    ub = [big_pos[n] for n in u_new]
-    vb = [big_pos[n] for n in v_new]
-    hb = [big_pos[n] for n in h]
-    lb = [big_pos[n] for n in l]
-    h_uu_new = k[np.ix_(ub, ub)]
-    h_uv_new = k[np.ix_(ub, vb)]
-    s_vv_new = k[np.ix_(vb, vb)]
-    k_uh = k[np.ix_(ub, hb)]
-    k_ul = k[np.ix_(ub, lb)]
-    # residual covariance of the marginalised concentration-form equations is
-    # the (l, l) block of the phi-phi concentration itself
-    s_ll_conc = big[np.ix_(lb, lb)]
-
-    uo = [mu_pos[n] for n in u_new]
-    ho = [mu_pos[n] for n in h]
-    q_uu = q_full[np.ix_(uo, uo)]
-    q_uh = q_full[np.ix_(uo, ho)]
-    q_hh = q_full[np.ix_(ho, ho)]
-    w_new = (
-        q_uu
-        - k_uh @ q_uh.T
-        - q_uh @ k_uh.T
-        + k_uh @ q_hh @ k_uh.T
-        + k_ul @ s_ll_conc @ k_ul.T
-    )
-    w_new = 0.5 * (w_new + w_new.T)
-    s_vv_new = 0.5 * (s_vv_new + s_vv_new.T)
-
+    class: the block derivation of ``summary_from_summary`` run with
+    partial inversion."""
+    (u_new, v_new), blocks = _reduce_summary(model, spec, _REAL)
     return LinearSummaryModel(
-        u_nodes=tuple(u_new),
-        v_nodes=tuple(v_new),
-        h_uu=h_uu_new,
-        h_uv=h_uv_new,
-        w_uu=w_new,
-        s_vv=s_vv_new,
+        u_new,
+        v_new,
+        *blocks,
         conditioning=model.conditioning | spec.conditioning,
         marginalising=model.marginalising | spec.marginalising,
     )
@@ -535,6 +388,10 @@ def verify_structural_zeros(
     """Check that across random draws the reduced parameter matrices vanish
     exactly on the zeros of the derived edge matrices, and that every
     edge-matrix one is generically nonzero in at least one draw."""
+    if n_draws < 1:
+        raise OracleError(f"the number of draws must be at least 1, got {n_draws}")
+    if seed < 0:
+        raise OracleError(f"the seed must be at least 0, got {seed}")
     summary = summary_from_parent(g, spec)
     components = ("h_uu", "h_uv", "w_uu", "s_vv")
     node_sets = {

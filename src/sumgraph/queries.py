@@ -29,6 +29,8 @@ from .graph_model import (
     GraphModelError,
     NodeId,
     SummaryGraph,
+    _reachable,
+    _skeleton,
     classify,
 )
 from .transform import is_collision_pair
@@ -272,24 +274,6 @@ def implies_independence(g: SummaryGraph, q: IndependenceQuery) -> Verdict:
 # undirected separations
 
 
-def _vertex_cut(sym: np.ndarray, alpha, beta, removed) -> bool:
-    n = sym.shape[0]
-    alpha, beta, removed = set(alpha), set(beta), set(removed)
-    seen = set(alpha)
-    stack = list(alpha)
-    while stack:
-        x = stack.pop()
-        for y in np.flatnonzero(sym[x]):
-            y = int(y)
-            if y == x or y in removed or y in seen:
-                continue
-            if y in beta:
-                return False
-            seen.add(y)
-            stack.append(y)
-    return True
-
-
 def _check_disjoint(dim, alpha, beta, other):
     for name, s in (("alpha", alpha), ("beta", beta), ("separator", other)):
         for i in s:
@@ -303,14 +287,14 @@ def separate_concentration(mat: np.ndarray, alpha, beta, c) -> bool:
     """Concentration-graph separation: every alpha-beta path meets c."""
     mat = np.asarray(mat)
     _check_disjoint(mat.shape[0], alpha, beta, c)
-    return _vertex_cut(mat, alpha, beta, c)
+    return not _reachable(mat, alpha, c) & set(beta)
 
 
 def separate_covariance(mat: np.ndarray, alpha, beta, m) -> bool:
     """Covariance-graph separation: every alpha-beta path meets m."""
     mat = np.asarray(mat)
     _check_disjoint(mat.shape[0], alpha, beta, m)
-    return _vertex_cut(mat, alpha, beta, m)
+    return not _reachable(mat, alpha, m) & set(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -442,28 +426,10 @@ def equivalence_obstruction(g: SummaryGraph) -> Optional[Obstruction]:
     return None
 
 
-def _coupled_matrix(g: SummaryGraph) -> np.ndarray:
-    n = len(g.nodes)
-    nu = len(g.u_nodes)
-    m = np.zeros((n, n), dtype=np.int8)
-    huu = np.triu(g.h_uu, 1) + np.triu(g.h_uu, 1).T
-    wuu = g.w_uu - np.eye(nu, dtype=np.int8)
-    m[:nu, :nu] = _or(huu, wuu)
-    m[:nu, nu:] = g.h_uv
-    m[nu:, :nu] = g.h_uv.T
-    svv = g.s_vv - np.eye(n - nu, dtype=np.int8) if n - nu else g.s_vv
-    m[nu:, nu:] = svv
-    return m
-
-
-def _or(a, b):
-    return ((a.astype(np.int64) + b.astype(np.int64)) > 0).astype(np.int8)
-
-
 def _chordless_collision_path(g: SummaryGraph) -> Optional[Obstruction]:
     """The three four-node patterns: -> ~~ <- , ~~ ~~ <- , ~~ ~~ ~~ ."""
     nu = len(g.u_nodes)
-    coupled = _coupled_matrix(g)
+    coupled = _skeleton(g)
 
     def dashed(i, k):
         return bool(g.w_uu[i, k]) and i != k
@@ -545,26 +511,12 @@ def _chordless_cycle_in_v(g: SummaryGraph) -> Optional[Obstruction]:
                 continue
             if int(sub.sum() - length) != 2 * length:
                 continue
-            if _is_single_cycle(sub):
+            if len(_reachable(sub, [0])) == length:
                 cyc = _cycle_order(sub)
                 return Obstruction(
                     "chordless_cycle", tuple(g.v_nodes[combo[i]] for i in cyc)
                 )
     return None
-
-
-def _is_single_cycle(sub: np.ndarray) -> bool:
-    n = sub.shape[0]
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in np.flatnonzero(sub[x]):
-            y = int(y)
-            if y != x and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n
 
 
 def _cycle_order(sub: np.ndarray) -> list[int]:

@@ -17,11 +17,11 @@ equivalent to a given summary graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .edge_matrix import partial_close, reach_closure
+from .edge_matrix import indicator, partial_close, partial_invert, reach_closure
 from .graph_model import (
     ARROW,
     DASH,
@@ -112,54 +112,86 @@ def _in(m: np.ndarray) -> np.ndarray:
     return (np.asarray(m, dtype=np.int64) > 0).astype(np.int8)
 
 
-def summary_from_parent(g: ParentGraph, spec: MarginalConditionSpec) -> SummaryGraph:
-    """Derive the summary graph of V minus (C, M) from a parent graph.
+# ---------------------------------------------------------------------------
+# the block derivations, written once over two algebras
 
-    Works on the edge matrix arranged in the order (p, u, q, v): the O rows
-    carry the parent-graph arrows, the F rows carry the concentration graph
-    of the foster nodes given C.  Partial closure on p and then on q yields
-    all four components in place.
+
+# The sweeps look the operators up by their module names on every call, so
+# whatever rebinds those names (the benchmark's tracer does) sees each call.
+def _close(m: np.ndarray, a: list[int]) -> np.ndarray:
+    return partial_close(_in(m), a).astype(np.int64)
+
+
+def _invert(m: np.ndarray, a: list[int]) -> np.ndarray:
+    return partial_invert(m, a)
+
+
+def _symmetrised(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.T)
+
+
+@dataclass(frozen=True)
+class _Algebra:
+    """What a block derivation needs of its entries.
+
+    Partial closure is the 0/1 shadow of partial inversion.  On supports
+    nothing cancels, so a difference has the support of the sum, and every
+    final block is read as its support.  Over the reals the covariance and
+    concentration blocks are symmetrised against rounding instead.  The
+    residual variances come with the coefficients: ones for supports.
+    """
+
+    sweep: Callable[[np.ndarray, list[int]], np.ndarray]
+    minus: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    block: Callable[[np.ndarray], np.ndarray]
+    cov: Callable[[np.ndarray], np.ndarray]
+
+
+_SUPPORT = _Algebra(sweep=_close, minus=np.add, block=_in, cov=_in)
+_REAL = _Algebra(sweep=_invert, minus=np.subtract, block=np.asarray, cov=_symmetrised)
+
+
+def _reduce_parent(
+    g: ParentGraph, spec: MarginalConditionSpec, alg: _Algebra, a: np.ndarray, dvar: np.ndarray
+):
+    """Reduce the system (a, dvar) on the parent graph by (C, M).
+
+    Works on the coefficient matrix arranged in the order (p, u, q, v): the
+    O rows carry the equations, the F rows carry the concentration of the
+    foster nodes given C.  Sweeping p and then q yields all four
+    components in place.  Returns the split and (h_uu, h_uv, w_uu, s_vv).
     """
     split = compute_split(g, spec)
-    a = g.amat.astype(np.int64)
     idx = {n: i for i, n in enumerate(g.nodes)}
-    r_nodes = [n for n in g.nodes if n in spec.conditioning or n in set(split.foster)]
-    r = [idx[n] for n in r_nodes]
-    f_in_r = [k for k, n in enumerate(r_nodes) if n in set(split.foster)]
+    a = np.asarray(a, dtype=float)  # 0/1 path counts would overflow int8
+    r = [idx[n] for n in g.nodes if n in spec.conditioning or n in set(split.foster)]
+    arr = [idx[n] for n in split.p + split.u + split.q + split.v]
+    n_p, n_u, n_q = len(split.p), len(split.u), len(split.q)
+    n_pu = n_p + n_u
+    sl_p, sl_u = slice(0, n_p), slice(n_p, n_pu)
+    sl_q, sl_v = slice(n_pu, n_pu + n_q), slice(n_pu + n_q, None)
 
-    arr_nodes = list(split.p) + list(split.u) + list(split.q) + list(split.v)
-    arr = [idx[n] for n in arr_nodes]
-    n_p, n_u, n_q, n_v = len(split.p), len(split.u), len(split.q), len(split.v)
-    sl_p = slice(0, n_p)
-    sl_u = slice(n_p, n_p + n_u)
-    sl_q = slice(n_p + n_u, n_p + n_u + n_q)
-    sl_v = slice(n_p + n_u + n_q, None)
+    t = np.zeros((len(arr), len(arr)))
+    t[:n_pu] = a[np.ix_(arr[:n_pu], arr)]
+    a_rr = a[np.ix_(r, r)]
+    conc_rr = a_rr.T @ np.diag(1.0 / dvar[r]) @ a_rr
+    r_pos = {i: k for k, i in enumerate(r)}
+    qv = [r_pos[i] for i in arr[n_pu:]]
+    t[n_pu:, n_pu:] = conc_rr[np.ix_(qv, qv)]
 
-    t = np.zeros((len(arr), len(arr)), dtype=np.int8)
-    if n_p + n_u:
-        t[: n_p + n_u, :] = _in(a[np.ix_(arr[: n_p + n_u], arr)])
-    if r:
-        a_rr = a[np.ix_(r, r)]
-        s_ff_o = _in(a_rr.T @ a_rr)[np.ix_(f_in_r, f_in_r)]
-        f_nodes = [n for n in r_nodes if n in set(split.foster)]
-        f_pos = {n: i for i, n in enumerate(f_nodes)}
-        qv_nodes = list(split.q) + list(split.v)
-        perm = [f_pos[n] for n in qv_nodes]
-        t[n_p + n_u:, n_p + n_u:] = s_ff_o[np.ix_(perm, perm)]
+    d = alg.sweep(t, list(range(n_p)))
+    k = alg.sweep(d, list(range(n_pu, n_pu + n_q)))
+    dv = dvar[arr]
+    d_up, d_uq = d[sl_u, sl_p], d[sl_u, sl_q]
+    w_uu = np.diag(dv[sl_u]) + d_up @ np.diag(dv[sl_p]) @ d_up.T + d_uq @ k[sl_q, sl_q] @ d_uq.T
+    blocks = (alg.block(k[sl_u, sl_u]), alg.block(k[sl_u, sl_v]), alg.cov(w_uu), alg.cov(k[sl_v, sl_v]))
+    return split, blocks
 
-    p_pos = list(range(n_p))
-    q_pos = list(range(n_p + n_u, n_p + n_u + n_q))
-    d = partial_close(t, p_pos)
-    k = partial_close(d, q_pos)
 
-    h_uu = k[sl_u, sl_u]
-    h_uv = k[sl_u, sl_v]
-    s_vv = k[sl_v, sl_v]
-    s_qq = k[sl_q, sl_q].astype(np.int64)
-    d_up = d[sl_u, sl_p].astype(np.int64)
-    d_uq = d[sl_u, sl_q].astype(np.int64)
-    w_uu = _in(np.eye(n_u, dtype=np.int64) + d_up @ d_up.T + d_uq @ s_qq @ d_uq.T)
-
+def summary_from_parent(g: ParentGraph, spec: MarginalConditionSpec) -> SummaryGraph:
+    """Derive the summary graph of V minus (C, M) from a parent graph by
+    partial closure of the arranged edge matrix."""
+    split, (h_uu, h_uv, w_uu, s_vv) = _reduce_parent(g, spec, _SUPPORT, g.amat, np.ones(g.dim))
     return SummaryGraph(
         u_nodes=split.u,
         v_nodes=split.v,
@@ -468,111 +500,84 @@ def stepwise_reduce(
 # summary graph from summary graph
 
 
-def summary_from_summary(g: SummaryGraph, spec: MarginalConditionSpec) -> SummaryGraph:
-    """Derive a smaller summary graph from a summary graph in one shot.
+def _reduce_summary(g, spec: MarginalConditionSpec, alg: _Algebra):
+    """Reduce a summary graph or a reduced linear system further by (C, M).
 
     Conditioning splits u into outsiders o and the block r of conditioned
-    nodes plus their foster ancestors; partial closure of the dashed
-    structure on r supplies the collision-path closures, the directed
-    blocks are orthogonalised against r, and partial closure on the
-    marginalised nodes finishes the job.  Residual cross products between
-    surviving and marginalised outsiders enter the dashed component; the
-    stepwise route and the parent-graph route agree with this derivation.
+    nodes plus their foster ancestors.  Sweeping the residual structure on
+    r supplies the collision-path closures, the outsider equations are
+    orthogonalised against r, and sweeping the marginalised nodes h (in o)
+    and l (in phi, the foster nodes and the surviving v) finishes the job.
+    Residual cross products between surviving and marginalised outsiders
+    enter the residual component.  Returns (u, v) and (h_uu, h_uv, w_uu, s_vv).
     """
     spec.validate_over(g.nodes)
-    mu = list(g.u_nodes)
-    nu_nodes = list(g.v_nodes)
+    cset, mset = spec.conditioning, spec.marginalising
+    mu, nu_nodes = list(g.u_nodes), list(g.v_nodes)
     mu_pos = {n: i for i, n in enumerate(mu)}
-    nu_pos = {n: i for i, n in enumerate(nu_nodes)}
-    c_mu = [n for n in mu if n in spec.conditioning]
-    c_nu = [n for n in nu_nodes if n in spec.conditioning]
-
-    closed_uu = reach_closure(g.h_uu)
-    f_mu = [
-        n
-        for n in mu
-        if n not in spec.conditioning
-        and any(closed_uu[mu_pos[c], mu_pos[n]] for c in c_mu)
-    ]
-    r = [n for n in mu if n in set(c_mu) | set(f_mu)]
+    closed_uu = reach_closure(indicator(g.h_uu))
+    c_mu = [mu_pos[n] for n in mu if n in cset]
+    r = [n for n in mu if any(closed_uu[c, mu_pos[n]] for c in c_mu)]
     o = [n for n in mu if n not in set(r)]
-    phi = [n for n in f_mu] + [n for n in nu_nodes if n not in set(c_nu)]
-    h = [n for n in o if n in spec.marginalising]
-    l = [n for n in phi if n in spec.marginalising]
-    u_new = [n for n in o if n not in set(h)]
-    v_new = [n for n in phi if n not in set(l)]
+    phi = [n for n in r + nu_nodes if n not in cset]
+    h = [n for n in o if n in mset]
+    l = [n for n in phi if n in mset]
+    u_new = [n for n in o if n not in mset]
+    v_new = [n for n in phi if n not in mset]
 
-    w = g.w_uu.astype(np.int64)
-    b_uu = g.h_uu.astype(np.int64)
-    b_uv = g.h_uv.astype(np.int64)
-    s_vv = g.s_vv.astype(np.int64)
+    b_uu = np.asarray(g.h_uu, dtype=float)
+    b_uv = np.asarray(g.h_uv, dtype=float)
+    ri = [mu_pos[n] for n in r]
+    oi = [mu_pos[n] for n in o]
+    q_full = alg.sweep(g.w_uu, ri)
 
-    r_idx = [mu_pos[n] for n in r]
-    o_idx = [mu_pos[n] for n in o]
-    q_full = partial_close(g.w_uu, r_idx).astype(np.int64)
-
-    # concentration graph of (r, v) given the enlarged conditioning set
-    brr = b_uu[np.ix_(r_idx, r_idx)]
-    brv = b_uv[np.ix_(r_idx, range(len(nu_nodes)))]
-    qrr = q_full[np.ix_(r_idx, r_idx)]
-    s_psi = np.zeros((len(r) + len(nu_nodes),) * 2, dtype=np.int64)
-    if r:
-        s_psi[: len(r), : len(r)] = brr.T @ qrr @ brr
-        s_psi[: len(r), len(r):] = brr.T @ qrr @ brv
-        s_psi[len(r):, : len(r)] = s_psi[: len(r), len(r):].T
-    s_psi[len(r):, len(r):] = s_vv + (brv.T @ qrr @ brv if r else 0)
-    psi_nodes = r + nu_nodes
-    psi_pos = {n: i for i, n in enumerate(psi_nodes)}
-    phi_idx = [psi_pos[n] for n in phi]
-    s_phi = _in(s_psi[np.ix_(phi_idx, phi_idx)]).astype(np.int64)
+    # concentration of (r, v) given the enlarged conditioning set
+    b_r_psi = np.concatenate([b_uu[np.ix_(ri, ri)], b_uv[ri]], axis=1)
+    s_psi = b_r_psi.T @ q_full[np.ix_(ri, ri)] @ b_r_psi
+    s_psi[len(r):, len(r):] += g.s_vv
+    psi_pos = {n: i for i, n in enumerate(r + nu_nodes)}
+    phi_i = [psi_pos[n] for n in phi]
 
     # orthogonalise the outsider equations against r
-    q_or = q_full[np.ix_(o_idx, r_idx)]
-    b_o_psi = np.concatenate(
-        [b_uu[np.ix_(o_idx, r_idx)], b_uv[np.ix_(o_idx, range(len(nu_nodes)))]], axis=1
-    )
-    b_r_psi = np.concatenate([brr, brv], axis=1)
-    c_o_psi = _in(b_o_psi + (q_or @ b_r_psi if r else 0)).astype(np.int64)
-    c_o_phi = c_o_psi[:, phi_idx]
+    b_o_psi = np.concatenate([b_uu[np.ix_(oi, ri)], b_uv[oi]], axis=1)
+    c_o_psi = alg.minus(b_o_psi, q_full[np.ix_(oi, ri)] @ b_r_psi)
 
-    big_nodes = o + phi
-    big_pos = {n: i for i, n in enumerate(big_nodes)}
-    big = np.zeros((len(big_nodes),) * 2, dtype=np.int8)
-    big[: len(o), : len(o)] = _in(b_uu[np.ix_(o_idx, o_idx)])
-    big[: len(o), len(o):] = _in(c_o_phi)
-    big[len(o):, len(o):] = _in(s_phi)
-
-    hl_idx = [big_pos[n] for n in h] + [big_pos[n] for n in l]
-    k = partial_close(big, hl_idx).astype(np.int64)
-
-    ub = [big_pos[n] for n in u_new]
-    vb = [big_pos[n] for n in v_new]
-    hb = [big_pos[n] for n in h]
-    lb = [big_pos[n] for n in l]
-    k_uu = _in(k[np.ix_(ub, ub)])
-    k_uv = _in(k[np.ix_(ub, vb)])
-    s_vv_new = _in(k[np.ix_(vb, vb)])
-    s_ll = k[np.ix_(lb, lb)]
-    k_uh = k[np.ix_(ub, hb)]
-    k_ul = k[np.ix_(ub, lb)]
+    big = np.zeros((len(o) + len(phi),) * 2)
+    big[: len(o), : len(o)] = b_uu[np.ix_(oi, oi)]
+    big[: len(o), len(o):] = c_o_psi[:, phi_i]
+    big[len(o):, len(o):] = s_psi[np.ix_(phi_i, phi_i)]
+    big_pos = {n: i for i, n in enumerate(o + phi)}
+    ub, vb, hb, lb = ([big_pos[n] for n in part] for part in (u_new, v_new, h, l))
+    k = alg.sweep(big, hb + lb)
 
     uo = [mu_pos[n] for n in u_new]
     ho = [mu_pos[n] for n in h]
-    q_uu = q_full[np.ix_(uo, uo)]
-    q_uh = q_full[np.ix_(uo, ho)]
-    q_hh = q_full[np.ix_(ho, ho)]
-    cross = k_uh @ q_uh.T
-    w_new = _in(q_uu + cross + cross.T + k_uh @ q_hh @ k_uh.T + k_ul @ s_ll @ k_ul.T)
+    k_uh, k_ul = k[np.ix_(ub, hb)], k[np.ix_(ub, lb)]
+    cross = k_uh @ q_full[np.ix_(uo, ho)].T
+    # the residual covariance of the marginalised concentration-form
+    # equations is the (l, l) block of the phi-phi concentration itself
+    w_new = (
+        alg.minus(q_full[np.ix_(uo, uo)], cross + cross.T)
+        + k_uh @ q_full[np.ix_(ho, ho)] @ k_uh.T
+        + k_ul @ big[np.ix_(lb, lb)] @ k_ul.T
+    )
+    h_uu, h_uv, s_vv = k[np.ix_(ub, ub)], k[np.ix_(ub, vb)], k[np.ix_(vb, vb)]
+    blocks = (alg.block(h_uu), alg.block(h_uv), alg.cov(w_new), alg.cov(s_vv))
+    return (tuple(u_new), tuple(v_new)), blocks
 
-    prov = _extended_provenance(g, spec.conditioning, spec.marginalising)
+
+def summary_from_summary(g: SummaryGraph, spec: MarginalConditionSpec) -> SummaryGraph:
+    """Derive a smaller summary graph from a summary graph in one shot; the
+    stepwise route and the parent-graph route agree with this derivation."""
+    (u_new, v_new), (h_uu, h_uv, w_uu, s_vv) = _reduce_summary(g, spec, _SUPPORT)
     return SummaryGraph(
-        u_nodes=tuple(u_new),
-        v_nodes=tuple(v_new),
-        h_uu=k_uu,
-        h_uv=k_uv,
-        w_uu=w_new,
-        s_vv=s_vv_new,
-        provenance=prov,
+        u_nodes=u_new,
+        v_nodes=v_new,
+        h_uu=h_uu,
+        h_uv=h_uv,
+        w_uu=w_uu,
+        s_vv=s_vv,
+        provenance=_extended_provenance(g, spec.conditioning, spec.marginalising),
     )
 
 

@@ -194,6 +194,21 @@ def test_verify_ok_exit_zero():
     assert out.endswith("verify: 10 draws, 0 violations\n")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--draws", "0"], "draws must be at least 1, got 0"),
+        (["--draws", "-3"], "draws must be at least 1, got -3"),
+        (["--seed", "-1"], "seed must be at least 0, got -1"),
+    ],
+)
+def test_verify_rejects_invalid_draws_and_seed(flags, message):
+    code, out, err = run(["verify", str(DATA / "iv.g")] + flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("sumgraph: ") and message in err
+
+
 def test_classify_iv_summary():
     code, out, _ = run(["classify", str(DATA / "iv-sum.g")])
     assert code == 0

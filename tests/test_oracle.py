@@ -9,6 +9,7 @@ from sumgraph.oracle import (
     derive_linear_summary_from_summary,
     implied_covariance,
     mag_coefficients,
+    model_edge_structure,
     partial_correlation,
     regress,
     sample_system,
@@ -16,7 +17,12 @@ from sumgraph.oracle import (
     system_from_coefficients,
     verify_structural_zeros,
 )
-from sumgraph.transform import MarginalConditionSpec, spec_of, summary_from_parent
+from sumgraph.transform import (
+    MarginalConditionSpec,
+    spec_of,
+    summary_from_parent,
+    summary_from_summary,
+)
 
 from conftest import dag, random_dag, random_spec
 
@@ -255,6 +261,24 @@ def test_two_stage_equals_one_stage_random():
             stage1, MarginalConditionSpec(spec.conditioning - c1, spec.marginalising - m1)
         )
         _assert_models_close(stage2, one)
+
+
+def test_two_stage_real_support_equals_summary_from_summary():
+    rng = np.random.default_rng(59)
+    for trial in range(200):
+        g = random_dag(rng, int(rng.integers(3, 10)), p=float(rng.uniform(0.2, 0.6)))
+        spec = random_spec(rng, g.nodes)
+        first = MarginalConditionSpec(
+            frozenset(x for x in spec.conditioning if rng.random() < 0.5),
+            frozenset(x for x in spec.marginalising if rng.random() < 0.5),
+        )
+        rest = MarginalConditionSpec(
+            spec.conditioning - first.conditioning, spec.marginalising - first.marginalising
+        )
+        stage1 = derive_linear_summary(sample_system(g, seed=trial), first)
+        got = model_edge_structure(derive_linear_summary_from_summary(stage1, rest))
+        want = summary_from_summary(summary_from_parent(g, first), rest)
+        assert got == want, (g.nodes, spec, first)
 
 
 def test_empty_spec_leaves_model_unchanged(indirect_graph):
