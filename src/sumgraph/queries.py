@@ -29,6 +29,7 @@ from .graph_model import (
     GraphModelError,
     NodeId,
     SummaryGraph,
+    _full_arrow_matrix,
     _reachable,
     _skeleton,
     classify,
@@ -122,14 +123,11 @@ def _adjacency(g: SummaryGraph) -> dict[NodeId, list[_EdgeRec]]:
 
 
 def _collision_enabled(g: SummaryGraph, conditioning: frozenset) -> frozenset:
-    """Nodes that are in c or have a descendant in c."""
-    out = set(conditioning)
-    for n in g.nodes:
-        if n in out:
-            continue
-        if g.descendants(n) & conditioning:
-            out.add(n)
-    return frozenset(out)
+    """Nodes that are in c or have a descendant in c: one sweep from c up
+    the arrows of h_uu and h_uv."""
+    pos = {n: i for i, n in enumerate(g.nodes)}
+    up = _reachable(_full_arrow_matrix(g), [pos[c] for c in conditioning if c in pos])
+    return frozenset(conditioning) | {g.nodes[i] for i in up}
 
 
 def _inner_ok(

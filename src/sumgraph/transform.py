@@ -17,7 +17,7 @@ equivalent to a given summary graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .graph_model import (
     ParentGraph,
     Provenance,
     SummaryGraph,
+    _topological_u_order,
     from_edge_list,
     parent_to_summary,
 )
@@ -283,67 +284,55 @@ def _mark(item: _EdgeItem, node: NodeId) -> str:
 
 
 class _WorkGraph:
-    """Mutable multigraph used while a step operator runs."""
+    """Mutable multigraph on which the step operators run: the edges by node
+    pair, an adjacency index and the position of every node in u + v."""
 
     def __init__(self, g: SummaryGraph):
-        self.u = list(g.u_nodes)
-        self.v = list(g.v_nodes)
         self.edges: dict[frozenset, set[_EdgeItem]] = {}
-        nu = len(g.u_nodes)
-        for i in range(nu):
-            for k in range(nu):
-                if i != k and g.h_uu[i, k]:
-                    self._add(g.u_nodes[i], g.u_nodes[k], (ARROW, g.u_nodes[i]))
-        for i in range(nu):
-            for k in range(len(g.v_nodes)):
-                if g.h_uv[i, k]:
-                    self._add(g.u_nodes[i], g.v_nodes[k], (ARROW, g.u_nodes[i]))
-        for i in range(nu):
-            for k in range(i + 1, nu):
-                if g.w_uu[i, k]:
-                    self._add(g.u_nodes[i], g.u_nodes[k], (DASHED,))
-        for i in range(len(g.v_nodes)):
-            for k in range(i + 1, len(g.v_nodes)):
-                if g.s_vv[i, k]:
-                    self._add(g.v_nodes[i], g.v_nodes[k], (FULL,))
+        self.adj: dict[NodeId, set[NodeId]] = {n: set() for n in g.nodes}
+        u, v = g.u_nodes, g.v_nodes
+        for i, k in np.argwhere(g.h_uu):
+            if i != k:
+                self._add(u[i], u[k], (ARROW, u[i]))
+        for i, k in np.argwhere(g.h_uv):
+            self._add(u[i], v[k], (ARROW, u[i]))
+        for i, k in np.argwhere(np.triu(g.w_uu, 1)):
+            self._add(u[i], u[k], (DASHED,))
+        for i, k in np.argwhere(np.triu(g.s_vv, 1)):
+            self._add(v[i], v[k], (FULL,))
+        self.provenance = g.provenance or Provenance()
+        self._order(list(u), list(v))
+
+    def _order(self, u: list[NodeId], v: list[NodeId]) -> None:
+        self.u, self.v = u, v
+        self.pos = {n: i for i, n in enumerate(u + v)}
 
     def _add(self, x: NodeId, y: NodeId, item: _EdgeItem) -> bool:
-        key = frozenset((x, y))
-        bucket = self.edges.setdefault(key, set())
+        bucket = self.edges.setdefault(frozenset((x, y)), set())
         if item in bucket:
             return False
         bucket.add(item)
+        self.adj[x].add(y)
+        self.adj[y].add(x)
         return True
 
     def neighbors(self, x: NodeId) -> list[NodeId]:
-        out = set()
-        for key, bucket in self.edges.items():
-            if x in key and bucket:
-                out |= key - {x}
-        return sorted(out, key=self._pos)
-
-    def _pos(self, n: NodeId) -> int:
-        order = self.u + self.v
-        return order.index(n)
+        return sorted(self.adj[x], key=self.pos.__getitem__)
 
     def items(self, x: NodeId, y: NodeId) -> set[_EdgeItem]:
-        return set(self.edges.get(frozenset((x, y)), set()))
+        return self.edges.get(frozenset((x, y)), set())
+
+    def _is_arrow(self, tail: NodeId, head: NodeId) -> bool:
+        return (ARROW, head) in self.edges[frozenset((tail, head))]
 
     def ancestors(self, node: NodeId) -> set[NodeId]:
         """Nodes with a directed path to ``node`` (arrows only)."""
-        parents: dict[NodeId, set[NodeId]] = {}
-        for key, bucket in self.edges.items():
-            for item in bucket:
-                if item[0] == ARROW:
-                    head = item[1]
-                    (tail,) = key - {head}
-                    parents.setdefault(head, set()).add(tail)
         out: set[NodeId] = set()
         stack = [node]
         while stack:
             x = stack.pop()
-            for par in parents.get(x, ()):
-                if par not in out:
+            for par in self.adj[x]:
+                if par not in out and self._is_arrow(par, x):
                     out.add(par)
                     stack.append(par)
         out.discard(node)
@@ -373,37 +362,71 @@ class _WorkGraph:
     def retype(self, v_new: set[NodeId]) -> None:
         """Turn every edge within the new v into a full line and every edge
         between the new u and v into an arrow from v to u."""
-        for key in list(self.edges):
-            if len(key) != 2:
-                continue
-            x, y = sorted(key, key=self._pos)
-            if x in v_new and y in v_new:
-                self.edges[key] = {(FULL,)}
-            elif x in v_new or y in v_new:
-                u_node = y if x in v_new else x
-                self.edges[key] = {(ARROW, u_node)}
+        for x in v_new:
+            for y in self.adj[x]:
+                self.edges[frozenset((x, y))] = {(FULL,)} if y in v_new else {(ARROW, y)}
 
     def delete(self, node: NodeId) -> None:
-        self.edges = {key: b for key, b in self.edges.items() if node not in key}
-        self.u = [n for n in self.u if n != node]
-        self.v = [n for n in self.v if n != node]
+        for y in self.adj.pop(node):
+            self.adj[y].discard(node)
+            del self.edges[frozenset((node, y))]
 
-    def to_summary(self, provenance: Optional[Provenance]) -> SummaryGraph:
+    def _settle(self, u: list[NodeId], v: list[NodeId]) -> None:
+        """Take the new (u, v), re-sorting u as ``from_edge_list`` would should
+        an arrow within u break its order, so that the next step sees the
+        node order of a work graph rebuilt from this step's summary graph."""
+        self._order(u, v)
+        if any(self.pos[y] < self.pos[x] and self._is_arrow(y, x) for x in u for y in self.adj[x]):
+            arrows = [
+                Edge(tail=y, head=x, kind=ARROW)
+                for x in u
+                for y in self.adj[x]
+                if y in u and self._is_arrow(y, x)
+            ]
+            self._order(_topological_u_order(u, arrows), v)
+
+    def marginalise(self, t: NodeId) -> None:
+        """Close every transmitting two-edge path through t, then drop t."""
+        self.induce_at(t, collision=False)
+        self.retype(set(self.v) - {t})
+        self.delete(t)
+        self.provenance = _extended_provenance(self.provenance, marginalising=(t,))
+        self._settle([n for n in self.u if n != t], [n for n in self.v if n != t])
+
+    def condition(self, s: NodeId) -> None:
+        """Close collision two-edge paths at s and its ancestors until nothing
+        changes, move the ancestors within u into v, re-type their edges and
+        drop s."""
+        closure_nodes = [s] + sorted(self.ancestors(s), key=self.pos.__getitem__)
+        changed = True
+        while changed:
+            changed = False
+            for w in closure_nodes:
+                changed |= self.induce_at(w, collision=True)
+        v_new = (set(self.v) | self.ancestors(s) & set(self.u)) - {s}
+        self.retype(v_new)
+        self.delete(s)
+        self.provenance = _extended_provenance(self.provenance, conditioning=(s,))
+        self._settle(
+            [n for n in self.u if n != s and n not in v_new],
+            [n for n in self.v if n != s] + [n for n in self.u if n in v_new],
+        )
+
+    def to_summary(self) -> SummaryGraph:
         edges = []
         for key, bucket in self.edges.items():
-            x, y = sorted(key, key=self._pos)
+            x, y = key
             for item in bucket:
                 if item[0] == ARROW:
                     head = item[1]
-                    (tail,) = key - {head}
-                    edges.append(Edge(tail=tail, head=head, kind=ARROW))
+                    edges.append(Edge(tail=y if head == x else x, head=head, kind=ARROW))
                 else:
                     edges.append(Edge(tail=x, head=y, kind=item[0]))
-        return from_edge_list(edges, self.u, self.v, provenance)
+        return from_edge_list(edges, self.u, self.v, self.provenance)
 
 
-def _extended_provenance(g: SummaryGraph, conditioning=(), marginalising=()) -> Provenance:
-    prov = g.provenance or Provenance()
+def _extended_provenance(prov: Optional[Provenance], conditioning=(), marginalising=()) -> Provenance:
+    prov = prov or Provenance()
     return Provenance(
         conditioning=prov.conditioning | frozenset(conditioning),
         marginalising=prov.marginalising | frozenset(marginalising),
@@ -411,51 +434,40 @@ def _extended_provenance(g: SummaryGraph, conditioning=(), marginalising=()) -> 
     )
 
 
-def step_marginalise(g: SummaryGraph, t: NodeId) -> SummaryGraph:
+def _one_step(
+    g: SummaryGraph | ParentGraph, node: NodeId, step: Callable[[_WorkGraph, NodeId], None]
+) -> SummaryGraph:
+    if isinstance(g, ParentGraph):
+        g = parent_to_summary(g)
+    if node not in g.nodes:
+        raise TransformError(f"node {node!r} not in graph")
+    work = _WorkGraph(g)
+    step(work, node)
+    return work.to_summary()
+
+
+def step_marginalise(g: SummaryGraph | ParentGraph, t: NodeId) -> SummaryGraph:
     """Marginalise over a single node: close every transmitting two-edge path
     through it, then drop the node."""
-    if t not in g.nodes:
-        raise TransformError(f"node {t!r} not in graph")
-    work = _WorkGraph(g)
-    work.induce_at(t, collision=False)
-    v_new = set(work.v) - {t}
-    work.retype(v_new)
-    work.delete(t)
-    return work.to_summary(_extended_provenance(g, marginalising=(t,)))
+    return _one_step(g, t, _WorkGraph.marginalise)
 
 
-def step_condition(g: SummaryGraph, s: NodeId) -> SummaryGraph:
+def step_condition(g: SummaryGraph | ParentGraph, s: NodeId) -> SummaryGraph:
     """Condition on a single node: repeatedly close collision two-edge paths
     at the node and at each of its ancestors, move the ancestors within u
     into v, re-type their edges, and drop the node."""
-    if s not in g.nodes:
-        raise TransformError(f"node {s!r} not in graph")
-    work = _WorkGraph(g)
-    closure_nodes = [s] + sorted(work.ancestors(s), key=work._pos)
-    changed = True
-    while changed:
-        changed = False
-        for w in closure_nodes:
-            changed |= work.induce_at(w, collision=True)
-    d_s = set(work.ancestors(s)) & set(work.u)
-    v_new = (set(work.v) | d_s) - {s}
-    work.retype(v_new)
-    work.delete(s)
-    work.v = [n for n in work.v if n in v_new] + [n for n in work.u if n in v_new]
-    work.u = [n for n in work.u if n not in v_new]
-    return work.to_summary(_extended_provenance(g, conditioning=(s,)))
+    return _one_step(g, s, _WorkGraph.condition)
 
 
-def stepwise_trace(
-    g: SummaryGraph | ParentGraph,
+def _run_steps(
+    g: SummaryGraph,
     spec: MarginalConditionSpec,
-    conditioning_order: Optional[list[NodeId]] = None,
-    marginalising_order: Optional[list[NodeId]] = None,
-    condition_first: bool = True,
-) -> list[tuple[str, NodeId, SummaryGraph]]:
-    """Apply the one-node-at-a-time construction, recording every step."""
-    if isinstance(g, ParentGraph):
-        g = parent_to_summary(g)
+    conditioning_order: Optional[list[NodeId]],
+    marginalising_order: Optional[list[NodeId]],
+    condition_first: bool,
+) -> Iterator[tuple[str, NodeId, _WorkGraph]]:
+    """Run the one-node-at-a-time construction on a single work graph,
+    yielding the operation, the node and the graph after every step."""
     spec.validate_over(g.nodes)
     c_order = list(conditioning_order) if conditioning_order is not None else sorted(
         spec.conditioning, key=str
@@ -465,20 +477,31 @@ def stepwise_trace(
     )
     if set(c_order) != spec.conditioning or set(m_order) != spec.marginalising:
         raise InvalidSpecError("step orders must enumerate the spec sets exactly")
-    steps = []
-    current = g
     blocks = (
         [("condition", c_order), ("marginalise", m_order)]
         if condition_first
         else [("marginalise", m_order), ("condition", c_order)]
     )
+    work = _WorkGraph(g)
     for op, order in blocks:
         for node in order:
-            current = step_condition(current, node) if op == "condition" else step_marginalise(
-                current, node
-            )
-            steps.append((op, node, current))
-    return steps
+            (work.condition if op == "condition" else work.marginalise)(node)
+            yield op, node, work
+
+
+def stepwise_trace(
+    g: SummaryGraph | ParentGraph,
+    spec: MarginalConditionSpec,
+    conditioning_order: Optional[list[NodeId]] = None,
+    marginalising_order: Optional[list[NodeId]] = None,
+    condition_first: bool = True,
+) -> list[tuple[str, NodeId, SummaryGraph]]:
+    """Apply the one-node-at-a-time construction, recording a snapshot of
+    the summary graph after every step."""
+    if isinstance(g, ParentGraph):
+        g = parent_to_summary(g)
+    steps = _run_steps(g, spec, conditioning_order, marginalising_order, condition_first)
+    return [(op, node, work.to_summary()) for op, node, work in steps]
 
 
 def stepwise_reduce(
@@ -488,12 +511,14 @@ def stepwise_reduce(
     marginalising_order: Optional[list[NodeId]] = None,
     condition_first: bool = True,
 ) -> SummaryGraph:
-    steps = stepwise_trace(g, spec, conditioning_order, marginalising_order, condition_first)
-    if not steps:
-        if isinstance(g, ParentGraph):
-            return parent_to_summary(g)
-        return g
-    return steps[-1][2]
+    """Apply the one-node-at-a-time construction and return the final
+    summary graph, taking no snapshot of the steps in between."""
+    if isinstance(g, ParentGraph):
+        g = parent_to_summary(g)
+    work = None
+    for _, _, work in _run_steps(g, spec, conditioning_order, marginalising_order, condition_first):
+        pass
+    return g if work is None else work.to_summary()
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +602,7 @@ def summary_from_summary(g: SummaryGraph, spec: MarginalConditionSpec) -> Summar
         h_uv=h_uv,
         w_uu=w_uu,
         s_vv=s_vv,
-        provenance=_extended_provenance(g, spec.conditioning, spec.marginalising),
+        provenance=_extended_provenance(g.provenance, spec.conditioning, spec.marginalising),
     )
 
 

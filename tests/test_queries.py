@@ -15,6 +15,7 @@ from sumgraph.queries import (
     IndependenceQuery,
     NotARegressionGraphError,
     QueryError,
+    _collision_enabled,
     active_paths,
     equivalence_obstruction,
     has_active_path,
@@ -338,3 +339,12 @@ def test_local_markov_statements_hold_in_the_oracle(indirect_graph):
         for st in stmts:
             given = [gi[x] for x in set(st.given) | set(st.conditioning_context)]
             assert abs(partial_correlation(cov, gi[st.i], gi[st.k], given)) < 1e-8
+
+
+def test_collision_enabled_set_is_conditioning_set_and_its_ancestors():
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        g = random_dag(rng, int(rng.integers(2, 12)))
+        s = summary_from_parent(g, random_spec(rng, g.nodes))
+        c = frozenset(x for x in s.nodes if rng.random() < 0.3)
+        assert _collision_enabled(s, c) == c | {x for x in s.nodes if s.descendants(x) & c}

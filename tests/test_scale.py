@@ -56,3 +56,13 @@ def test_gates_on_sparse_dags_of_50_to_80_nodes():
 
         report = verify_structural_zeros(g, spec, n_draws=3, seed=int(rng.integers(1000)))
         assert report.ok, report.lines()
+
+
+def test_stepwise_route_agrees_at_120_to_160_nodes():
+    rng = np.random.default_rng(120)
+    for n in (120, 140, 160):
+        g = random_dag(rng, n, p=3.0 / n)
+        perm = [int(x) + 1 for x in rng.permutation(n)]
+        nc, nm = n // 10, n // 4
+        spec = MarginalConditionSpec(frozenset(perm[:nc]), frozenset(perm[nc:nc + nm]))
+        assert same_graph(stepwise_reduce(g, spec), summary_from_parent(g, spec)), n

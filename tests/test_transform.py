@@ -6,6 +6,8 @@ from sumgraph.graph_model import (
     DASHED,
     FULL,
     Edge,
+    ParentGraph,
+    SummaryGraph,
     classify,
     from_edge_list,
     parent_to_summary,
@@ -24,6 +26,7 @@ from sumgraph.transform import (
     step_condition,
     step_marginalise,
     stepwise_reduce,
+    stepwise_trace,
     summary_from_parent,
     summary_from_summary,
 )
@@ -361,3 +364,49 @@ def test_mag_has_no_double_edges_randomized():
         mag = mag_from_summary(s)
         assert not (np.triu(mag.h_uu & mag.w_uu, 1)).any()
         assert classify(mag).independence_graph_candidate
+
+
+# ---------------------------------------------------------------------------
+# the stepwise route on one work graph
+
+
+def test_step_operators_accept_a_parent_graph():
+    g = dag([1, 2, 3], [(1, 2), (2, 3)])
+    assert step_marginalise(g, 2) == step_marginalise(parent_to_summary(g), 2)
+    assert step_condition(g, 2) == step_condition(parent_to_summary(g), 2)
+
+
+def test_stepwise_trace_equals_chained_single_steps():
+    # the work graph carried through a whole run must match a fresh rebuild
+    # from the summary graph of the previous step, node order included
+    rng = np.random.default_rng(25)
+    for case in range(400):
+        g = random_dag(rng, int(rng.integers(2, 11)))
+        if case % 4:
+            g = summary_from_parent(g, random_spec(rng, g.nodes, max_c=1, max_m=1))
+        if case % 4 == 2:
+            u = list(g.u_nodes)
+            rng.shuffle(u)
+            g = from_edge_list(to_edge_list(g), u, g.v_nodes, g.provenance)
+        if case % 4 == 3:
+            # u stored in an arbitrary order, which the first step re-sorts
+            p = [int(i) for i in rng.permutation(len(g.u_nodes))]
+            g = SummaryGraph(tuple(g.u_nodes[i] for i in p), g.v_nodes, g.h_uu[np.ix_(p, p)],
+                             g.h_uv[p], g.w_uu[np.ix_(p, p)], g.s_vv, g.provenance)
+        spec = random_spec(rng, g.nodes)
+        c_order, m_order = list(spec.conditioning), list(spec.marginalising)
+        rng.shuffle(c_order)
+        rng.shuffle(m_order)
+        condition_first = bool(rng.integers(0, 2))
+        trace = stepwise_trace(g, spec, c_order, m_order, condition_first)
+        ops = [("condition", x) for x in c_order] + [("marginalise", x) for x in m_order]
+        if not condition_first:
+            ops = ops[len(c_order):] + ops[:len(c_order)]
+        assert [(op, x) for op, x, _ in trace] == ops, case
+        current = g
+        for op, x, got in trace:
+            current = (step_condition if op == "condition" else step_marginalise)(current, x)
+            assert got == current and got.provenance == current.provenance, case
+        last = stepwise_reduce(g, spec, c_order, m_order, condition_first)
+        want = trace[-1][2] if trace else parent_to_summary(g) if isinstance(g, ParentGraph) else g
+        assert last == want and last.provenance == want.provenance, case
