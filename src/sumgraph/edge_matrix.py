@@ -97,11 +97,18 @@ def partial_invert(f: np.ndarray, a: Iterable[int]) -> np.ndarray:
 
 
 def reach_closure(block: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a binary block by boolean fixed point."""
-    b = _binary(block).astype(bool)
-    r = b | np.eye(b.shape[0], dtype=bool)
+    """Reflexive-transitive closure of a binary block by repeated squaring.
+
+    The products run as float32 BLAS ``matmul`` and are read back with
+    ``> 0``.  This is exact: every entry of a product of 0/1 matrices is a
+    sum of nonnegative terms, at least one of which is 1 whenever the true
+    entry is nonzero, so rounding cannot turn a positive sum into 0, and no
+    sum (at most the dimension) comes near float32 overflow.
+    """
+    b = _binary(block)
+    r = (b | np.eye(b.shape[0], dtype=np.int8)).astype(np.float32)
     while True:
-        nxt = r | (r @ r)
+        nxt = ((r @ r) > 0).astype(np.float32)
         if (nxt == r).all():
             return r.astype(np.int8)
         r = nxt
@@ -126,7 +133,9 @@ def partial_close(b: np.ndarray, a: Iterable[int]) -> np.ndarray:
     The a-block is replaced by its reflexive-transitive closure F_aa^-,
     the off blocks by In[F_aa^- F_ab] and In[F_ba F_aa^-], and the b-block
     by In[F_bb + F_ba F_aa^- F_ab].  Idempotent and commutative, but not
-    undoable.
+    undoable.  The products are float32 BLAS products read back with
+    ``> 0``; as in ``reach_closure`` their terms are nonnegative path counts
+    that stay far below float32 overflow, so the supports are exact.
     """
     b = _binary(b)
     dim = b.shape[0]
@@ -134,16 +143,17 @@ def partial_close(b: np.ndarray, a: Iterable[int]) -> np.ndarray:
     if ai.size == 0:
         return b.copy()
     bi = np.setdiff1d(np.arange(dim), ai)
-    closed = reach_closure(b[np.ix_(ai, ai)]).astype(np.int64)
+    closed = reach_closure(b[np.ix_(ai, ai)])
     out = np.zeros_like(b)
-    out[np.ix_(ai, ai)] = closed.astype(np.int8)
+    out[np.ix_(ai, ai)] = closed
     if bi.size:
-        fab = b[np.ix_(ai, bi)].astype(np.int64)
-        fba = b[np.ix_(bi, ai)].astype(np.int64)
-        fbb = b[np.ix_(bi, bi)].astype(np.int64)
-        out[np.ix_(ai, bi)] = (closed @ fab > 0).astype(np.int8)
-        out[np.ix_(bi, ai)] = (fba @ closed > 0).astype(np.int8)
-        out[np.ix_(bi, bi)] = ((fbb + fba @ closed @ fab) > 0).astype(np.int8)
+        closed = closed.astype(np.float32)
+        fab = b[np.ix_(ai, bi)].astype(np.float32)
+        fba = b[np.ix_(bi, ai)].astype(np.float32)
+        fbb = b[np.ix_(bi, bi)].astype(np.float32)
+        out[np.ix_(ai, bi)] = closed @ fab > 0
+        out[np.ix_(bi, ai)] = fba @ closed > 0
+        out[np.ix_(bi, bi)] = (fbb + fba @ closed @ fab) > 0
     return out
 
 

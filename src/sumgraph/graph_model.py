@@ -47,12 +47,12 @@ class PlacementError(GraphModelError):
 
 
 def _as_binary(m, shape, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=np.int8)
+    m = np.asarray(m)
     if m.shape != shape:
         raise GraphModelError(f"{name} has shape {m.shape}, expected {shape}")
-    if not np.isin(m, (0, 1)).all():
+    if not np.isin(m, (0, 1)).all():  # before the cast, which would truncate
         raise GraphModelError(f"{name} must be a 0/1 matrix")
-    m = m.copy()
+    m = m.astype(np.int8)
     m.setflags(write=False)
     return m
 

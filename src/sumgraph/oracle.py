@@ -111,11 +111,8 @@ def sample_system(
     rng = np.random.default_rng(seed)
     n = g.dim
     a = np.eye(n)
-    for i in range(n):
-        for k in range(i + 1, n):
-            if g.amat[i, k]:
-                coef = rng.uniform(*coef_range) * rng.choice((-1.0, 1.0))
-                a[i, k] = -coef
+    for i, k in np.argwhere(np.triu(g.amat, 1)):  # row-major: the seeded draw order
+        a[i, k] = -rng.uniform(*coef_range) * (-1.0, 1.0)[rng.integers(2)]
     dvar = rng.uniform(*var_range, size=n)
     return TriangularSystem(graph=g, a=a, dvar=dvar)
 
@@ -163,8 +160,9 @@ def implied_covariance(sys: TriangularSystem) -> CovariancePair:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:  # unit-triangular, so never expected
         raise OracleError("coefficient matrix is numerically singular") from None
-    sigma = a_inv @ sys.delta @ a_inv.T
-    conc = a.T @ np.diag(1.0 / sys.dvar) @ a
+    sigma = (a_inv * sys.dvar) @ a_inv.T
+    # an F-ordered factor would change BLAS's summation order and the last digits
+    conc = np.multiply(a.T, 1.0 / sys.dvar, order="C") @ a
     sigma = 0.5 * (sigma + sigma.T)
     conc = 0.5 * (conc + conc.T)
     return CovariancePair(sigma=sigma, concentration=conc)

@@ -94,12 +94,8 @@ def compute_split(g: ParentGraph, spec: MarginalConditionSpec) -> SplitRecord:
     anc = g.ancestor_matrix()
     cset = spec.conditioning
     mset = spec.marginalising
-    c_idx = [g.index(c) for c in cset]
-    foster = [
-        n
-        for k, n in enumerate(g.nodes)
-        if n not in cset and any(anc[ci, k] for ci in c_idx)
-    ]
+    ancestor_of_c = anc[[g.index(c) for c in cset]].any(axis=0)
+    foster = [n for k, n in enumerate(g.nodes) if n not in cset and ancestor_of_c[k]]
     fset = set(foster)
     outsiders = [n for n in g.nodes if n not in cset and n not in fset]
     p = tuple(n for n in outsiders if n in mset)
@@ -165,7 +161,8 @@ def _reduce_parent(
     split = compute_split(g, spec)
     idx = {n: i for i, n in enumerate(g.nodes)}
     a = np.asarray(a, dtype=float)  # 0/1 path counts would overflow int8
-    r = [idx[n] for n in g.nodes if n in spec.conditioning or n in set(split.foster)]
+    kept = spec.conditioning | set(split.foster)
+    r = [idx[n] for n in g.nodes if n in kept]
     arr = [idx[n] for n in split.p + split.u + split.q + split.v]
     n_p, n_u, n_q = len(split.p), len(split.u), len(split.q)
     n_pu = n_p + n_u

@@ -226,6 +226,75 @@ def test_structural_zero_soundness_against_partial_inversion():
         assert ((np.abs(swept) > 1e-9) <= (closed == 1)).all()
 
 
+def bfs_closure(b):
+    """Reflexive-transitive closure by a breadth-first search from every row."""
+    n = b.shape[0]
+    out = np.eye(n, dtype=bool)
+    for start in range(n):
+        frontier = out[start].copy()
+        while frontier.any():
+            frontier = b[frontier].any(axis=0) & ~out[start]
+            out[start] |= frontier
+    return out.astype(np.int8)
+
+
+def closure_blocks():
+    rng = np.random.default_rng(9)
+    for n in (2, 5, 10, 20, 40, 80, 150, 300):
+        for p in (1.5 / n, 0.1, 0.5):
+            b = (rng.random((n, n)) < p).astype(np.int8)
+            yield b  # cyclic
+            yield np.triu(b)  # acyclic
+    yield np.eye(200, dtype=np.int8) + np.eye(200, k=1, dtype=np.int8)  # the most squarings
+    yield np.zeros((0, 0), dtype=np.int8)
+    yield np.zeros((1, 1), dtype=np.int8)
+    yield np.ones((1, 1), dtype=np.int8)
+
+
+def test_reach_closure_equals_bfs_up_to_300_nodes():
+    for b in closure_blocks():
+        got = reach_closure(b)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, bfs_closure(b)), b.shape
+
+
+def test_reach_closure_equals_regularized_inverse_where_it_resolves():
+    # The inverse route reads a path of length L off an entry of about
+    # (n + 1)^-(L + 1); against its 1e-12 cut-off that is sound while
+    # (n + 1)^n < 1e12, i.e. up to n = 10.
+    for b in closure_blocks():
+        if b.shape[0] <= 10:
+            assert np.array_equal(reach_closure(b), closure_by_regularized_inverse(b)), b.shape
+
+
+def test_partial_close_equals_int64_reference():
+    rng = np.random.default_rng(10)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        b = (rng.random((n, n)) < rng.uniform(0.02, 0.5)).astype(np.int8)
+        a = [int(x) for x in np.flatnonzero(rng.random(n) < rng.uniform(0.1, 0.9))]
+        bi = [k for k in range(n) if k not in a]
+        want = b.copy()
+        if a:
+            closed = b[np.ix_(a, a)].astype(bool) | np.eye(len(a), dtype=bool)
+            while True:
+                nxt = closed | (closed @ closed)
+                if (nxt == closed).all():
+                    break
+                closed = nxt
+            closed = closed.astype(np.int64)
+            fab = b[np.ix_(a, bi)].astype(np.int64)
+            fba = b[np.ix_(bi, a)].astype(np.int64)
+            fbb = b[np.ix_(bi, bi)].astype(np.int64)
+            want[np.ix_(a, a)] = closed
+            want[np.ix_(a, bi)] = closed @ fab > 0
+            want[np.ix_(bi, a)] = fba @ closed > 0
+            want[np.ix_(bi, bi)] = fbb + fba @ closed @ fab > 0
+        got = partial_close(b, a)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want), (n, a)
+
+
 # ---------------------------------------------------------------------------
 # ancestor closure
 

@@ -33,6 +33,25 @@ from conftest import dag, random_dag, random_spec
 # parent-graph validation
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.9, np.int64(257), np.nan], ids=["0.5", "1.9", "257", "nan"])
+@pytest.mark.parametrize("component", ["amat", "h_uu", "h_uv", "w_uu", "s_vv"])
+def test_entries_other_than_0_1_are_rejected_not_truncated(component, bad):
+    dtype = np.int64 if isinstance(bad, np.integer) else float
+    m = np.eye(2, dtype=dtype)
+    m[0, 1] = bad
+    parts = {
+        "h_uu": np.eye(2, dtype=np.int8),
+        "h_uv": np.zeros((2, 2), dtype=np.int8),
+        "w_uu": np.eye(2, dtype=np.int8),
+        "s_vv": np.eye(2, dtype=np.int8),
+    }
+    with pytest.raises(GraphModelError):
+        if component == "amat":
+            ParentGraph((1, 2), m)
+        else:
+            SummaryGraph((1, 2), (3, 4), **{**parts, component: m})
+
+
 def test_validate_parent_chain_valid_connected():
     g = dag([1, 2, 3], [(1, 2), (2, 3)])
     report = validate_parent(g)

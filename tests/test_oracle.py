@@ -55,6 +55,25 @@ def test_sampled_coefficients_live_on_edges_in_range():
         assert ((sys.dvar >= 0.5) & (sys.dvar <= 1.5)).all()
 
 
+def test_sampling_keeps_the_double_loop_stream():
+    # The draws of every `verify --seed` rest on this order and these calls.
+    rng = np.random.default_rng(52)
+    for seed in range(240):
+        n = int(rng.integers(1, 40))
+        g = random_dag(rng, n, p=float(rng.uniform(0.05, 0.6)))
+        draws = np.random.default_rng(seed)
+        a = np.eye(n)
+        for i in range(n):
+            for k in range(i + 1, n):
+                if g.amat[i, k]:
+                    coef = draws.uniform(0.3, 0.9) * draws.choice((-1.0, 1.0))
+                    a[i, k] = -coef
+        dvar = draws.uniform(0.5, 1.5, size=n)
+        sys = sample_system(g, seed)
+        assert np.array_equal(sys.a, a), seed
+        assert np.array_equal(sys.dvar, dvar), seed
+
+
 def test_system_from_coefficients_requires_every_edge(iv_graph):
     with pytest.raises(OracleError):
         system_from_coefficients(iv_graph, {(1, 2): 0.4})

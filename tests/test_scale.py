@@ -5,6 +5,7 @@ structural-zero violation."""
 
 import numpy as np
 
+from sumgraph import ParentGraph
 from sumgraph.oracle import (
     derive_linear_summary,
     derive_linear_summary_from_summary,
@@ -14,6 +15,7 @@ from sumgraph.oracle import (
 )
 from sumgraph.transform import (
     MarginalConditionSpec,
+    spec_of,
     stepwise_reduce,
     summary_from_parent,
     summary_from_summary,
@@ -66,3 +68,24 @@ def test_stepwise_route_agrees_at_120_to_160_nodes():
         nc, nm = n // 10, n // 4
         spec = MarginalConditionSpec(frozenset(perm[:nc]), frozenset(perm[nc:nc + nm]))
         assert same_graph(stepwise_reduce(g, spec), summary_from_parent(g, spec)), n
+
+
+def test_routes_and_one_verify_draw_at_1000_nodes():
+    """The route and oracle gates on the benchmark's sparse family at
+    n = 1,000 (``bench/cases.sparse_case(default_rng(0), 1000)``)."""
+    rng = np.random.default_rng(0)
+    n = 1000
+    a = np.eye(n, dtype=np.int8)
+    a[np.triu(rng.random((n, n)) < 3.0 / n, 1)] = 1
+    g = ParentGraph(tuple(range(1, n + 1)), a)
+    perm = [int(x) for x in rng.permutation(n) + 1]
+    c, m = sorted(perm[: n // 10]), sorted(perm[n // 10: n // 10 + n // 4])
+    spec = spec_of(c, m)
+    first = spec_of(c[: len(c) // 2], m[: len(m) // 2])
+    rest = spec_of(c[len(c) // 2:], m[len(m) // 2:])
+
+    ref = summary_from_parent(g, spec)
+    assert same_graph(summary_from_summary(summary_from_parent(g, first), rest), ref)
+    assert same_graph(stepwise_reduce(g, spec), ref)
+    report = verify_structural_zeros(g, spec, n_draws=1)
+    assert report.ok, report.lines()
