@@ -119,9 +119,14 @@ def closure_by_regularized_inverse(block: np.ndarray) -> np.ndarray:
 
     Retained as a test oracle for ``reach_closure``; the inverse of the
     diagonally dominant matrix expands into a Neumann series with
-    non-negative terms, so its support is exactly the reachability set.
+    non-negative terms, so its support is the reachability set as long as
+    every path shows above the 1e-12 cut-off.  A path of length L shows in
+    an entry of about n^-(L + 1), so blocks of 12 or more nodes, where a
+    path of length 11 falls below it, raise ``EdgeMatrixError``.
     """
     b = _binary(block).astype(float)
+    if b.shape[0] >= 12:
+        raise EdgeMatrixError(f"the regularized inverse resolves blocks of at most 11 nodes, got {b.shape[0]}")
     n = b.shape[0] + 1
     inv = np.linalg.inv(n * np.eye(b.shape[0]) - b)
     return indicator(inv, tol=1e-12)

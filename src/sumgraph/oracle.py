@@ -21,8 +21,10 @@ from .graph_model import Mag, NodeId, ParentGraph, SummaryGraph
 from .transform import (
     _REAL,
     MarginalConditionSpec,
+    SplitRecord,
     _reduce_parent,
     _reduce_summary,
+    compute_split,
     mag_from_summary,
     summary_from_parent,
 )
@@ -111,8 +113,21 @@ def sample_system(
     rng = np.random.default_rng(seed)
     n = g.dim
     a = np.eye(n)
-    for i, k in np.argwhere(np.triu(g.amat, 1)):  # row-major: the seeded draw order
-        a[i, k] = -rng.uniform(*coef_range) * (-1.0, 1.0)[rng.integers(2)]
+    rows, cols = np.nonzero(np.triu(g.amat, 1))  # row-major: the seeded draw order
+    # One pass over the stream of the per-arrow loop `rng.uniform(lo, hi)`,
+    # then `rng.integers(2)` for the sign: the uniform takes a fresh 64-bit
+    # word w and gives lo + (hi - lo) (w >> 11) 2^-53; the sign is the top
+    # bit of a 32-bit half, and PCG64 hands out the low half of a fresh word
+    # first and keeps the high half for the next arrow.  So arrows 2j and
+    # 2j + 1 read words 3j and 3j + 2 for their magnitudes and bits 31 and 63
+    # of word 3j + 1 for their signs.  test_sampling_keeps_the_double_loop_stream
+    # pins this layout.
+    raw = rng.bit_generator.random_raw(rows.size + (rows.size + 1) // 2)
+    pair, odd = np.divmod(np.arange(rows.size), 2)
+    lo, hi = coef_range
+    magnitude = lo + (hi - lo) * ((raw[3 * pair + 2 * odd] >> np.uint64(11)).astype(float) * 2.0**-53)
+    sign_bit = (raw[3 * pair + 1] >> (np.uint64(31) + np.uint64(32) * odd.astype(np.uint64))) & np.uint64(1)
+    a[rows, cols] = np.where(sign_bit == 1, -magnitude, magnitude)  # (-1.0, 1.0)[bit] times -magnitude
     dvar = rng.uniform(*var_range, size=n)
     return TriangularSystem(graph=g, a=a, dvar=dvar)
 
@@ -212,21 +227,42 @@ def partial_correlation(cov: CovariancePair, i: int, k: int, given: Iterable[int
 def derive_linear_summary(sys: TriangularSystem, spec: MarginalConditionSpec) -> LinearSummaryModel:
     """Reduce A Y = eps by conditioning on C and marginalising over M: the
     block derivation of ``summary_from_parent`` run with partial inversion."""
-    split, blocks = _reduce_parent(sys.graph, spec, _REAL, sys.a, sys.dvar)
+    return _derive_linear_summary(sys, spec, compute_split(sys.graph, spec))
+
+
+def _derive_linear_summary(
+    sys: TriangularSystem, spec: MarginalConditionSpec, split: SplitRecord
+) -> LinearSummaryModel:
+    blocks = _reduce_parent(sys.graph, spec, split, _REAL, sys.a, sys.dvar)
     model = LinearSummaryModel(split.u, split.v, *blocks, spec.conditioning, spec.marginalising)
     _check_recovered_conditional_covariance(sys, model)
     return model
+
+
+def _conditional_covariance_of_u(sys: TriangularSystem, u: list[int], m: list[int]) -> np.ndarray:
+    """Covariance of Y_u given all variables outside u and m, with m
+    marginalised: the concentration of a margin is the Schur complement of
+    the joint concentration Omega = A^T Delta^{-1} A, so this is
+    (Omega_uu - Omega_um Omega_mm^{-1} Omega_mu)^{-1}, and only the u and m
+    columns of A enter."""
+    cols = sys.a[:, u + m]
+    # C-ordered like the concentration factor of ``implied_covariance``
+    omega = np.multiply(cols.T, 1.0 / sys.dvar, order="C") @ cols
+    n_u = len(u)
+    conc_uu = omega[:n_u, :n_u]
+    if m:
+        conc_uu = conc_uu - omega[:n_u, n_u:] @ np.linalg.solve(omega[n_u:, n_u:], omega[n_u:, :n_u])
+    return np.linalg.inv(conc_uu)
 
 
 def _check_recovered_conditional_covariance(sys: TriangularSystem, model: LinearSummaryModel):
     """H_uu^{-1} W_uu H_uu^{-T} must be the covariance of Y_u given Y_v, Y_C."""
     if not model.u_nodes:
         return
-    cov = implied_covariance(sys)
     idx = {n: i for i, n in enumerate(sys.graph.nodes)}
-    keep = [idx[n] for n in model.u_nodes]
-    given = [idx[n] for n in model.v_nodes] + [idx[n] for n in sorted(model.conditioning, key=str)]
-    target = conditional_covariance(cov, keep, given)
+    u = [idx[n] for n in model.u_nodes]
+    m = sorted(idx[n] for n in model.marginalising)
+    target = _conditional_covariance_of_u(sys, u, m)
     h_inv = np.linalg.inv(model.h_uu)
     got = h_inv @ model.w_uu @ h_inv.T
     if not np.allclose(got, target, atol=1e-9):
@@ -391,6 +427,7 @@ def verify_structural_zeros(
     if seed < 0:
         raise OracleError(f"the seed must be at least 0, got {seed}")
     summary = summary_from_parent(g, spec)
+    split = summary.provenance.split
     components = ("h_uu", "h_uv", "w_uu", "s_vv")
     node_sets = {
         "h_uu": (summary.u_nodes, summary.u_nodes),
@@ -403,16 +440,12 @@ def verify_structural_zeros(
     for draw in range(n_draws):
         draw_seed = seed + draw
         sys = sample_system(g, draw_seed)
-        model = derive_linear_summary(sys, spec)
+        model = _derive_linear_summary(sys, spec, split)
         for name in components:
             edge = getattr(summary, name)
             param = np.abs(getattr(model, name))
-            if name in ("h_uu", "w_uu"):
-                param = param.copy()
+            if name != "h_uv":
                 np.fill_diagonal(param, 1.0)  # diagonals are conventional ones
-            if name == "s_vv" and param.size:
-                param = param.copy()
-                np.fill_diagonal(param, 1.0)
             max_seen[name] = np.maximum(max_seen[name], param)
             bad = (edge == 0) & (param >= tol_zero)
             rows, cols = node_sets[name]

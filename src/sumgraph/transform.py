@@ -149,16 +149,21 @@ _REAL = _Algebra(sweep=_invert, minus=np.subtract, block=np.asarray, cov=_symmet
 
 
 def _reduce_parent(
-    g: ParentGraph, spec: MarginalConditionSpec, alg: _Algebra, a: np.ndarray, dvar: np.ndarray
+    g: ParentGraph,
+    spec: MarginalConditionSpec,
+    split: SplitRecord,
+    alg: _Algebra,
+    a: np.ndarray,
+    dvar: np.ndarray,
 ):
-    """Reduce the system (a, dvar) on the parent graph by (C, M).
+    """Reduce the system (a, dvar) on the parent graph by (C, M), whose node
+    split ``compute_split(g, spec)`` the caller passes in.
 
     Works on the coefficient matrix arranged in the order (p, u, q, v): the
     O rows carry the equations, the F rows carry the concentration of the
     foster nodes given C.  Sweeping p and then q yields all four
-    components in place.  Returns the split and (h_uu, h_uv, w_uu, s_vv).
+    components in place.  Returns (h_uu, h_uv, w_uu, s_vv).
     """
-    split = compute_split(g, spec)
     idx = {n: i for i, n in enumerate(g.nodes)}
     a = np.asarray(a, dtype=float)  # 0/1 path counts would overflow int8
     kept = spec.conditioning | set(split.foster)
@@ -182,14 +187,14 @@ def _reduce_parent(
     dv = dvar[arr]
     d_up, d_uq = d[sl_u, sl_p], d[sl_u, sl_q]
     w_uu = np.diag(dv[sl_u]) + d_up @ np.diag(dv[sl_p]) @ d_up.T + d_uq @ k[sl_q, sl_q] @ d_uq.T
-    blocks = (alg.block(k[sl_u, sl_u]), alg.block(k[sl_u, sl_v]), alg.cov(w_uu), alg.cov(k[sl_v, sl_v]))
-    return split, blocks
+    return alg.block(k[sl_u, sl_u]), alg.block(k[sl_u, sl_v]), alg.cov(w_uu), alg.cov(k[sl_v, sl_v])
 
 
 def summary_from_parent(g: ParentGraph, spec: MarginalConditionSpec) -> SummaryGraph:
     """Derive the summary graph of V minus (C, M) from a parent graph by
     partial closure of the arranged edge matrix."""
-    split, (h_uu, h_uv, w_uu, s_vv) = _reduce_parent(g, spec, _SUPPORT, g.amat, np.ones(g.dim))
+    split = compute_split(g, spec)
+    h_uu, h_uv, w_uu, s_vv = _reduce_parent(g, spec, split, _SUPPORT, g.amat, np.ones(g.dim))
     return SummaryGraph(
         u_nodes=split.u,
         v_nodes=split.v,

@@ -267,6 +267,15 @@ def test_reach_closure_equals_regularized_inverse_where_it_resolves():
             assert np.array_equal(reach_closure(b), closure_by_regularized_inverse(b)), b.shape
 
 
+def test_regularized_inverse_refuses_blocks_it_cannot_resolve():
+    chain = np.eye(11, k=1, dtype=np.int8)
+    assert np.array_equal(closure_by_regularized_inverse(chain), np.triu(np.ones((11, 11), dtype=np.int8)))
+    with pytest.raises(EdgeMatrixError):
+        closure_by_regularized_inverse(np.eye(12, k=1, dtype=np.int8))
+    with pytest.raises(EdgeMatrixError):
+        closure_by_regularized_inverse(np.zeros((300, 300), dtype=np.int8))
+
+
 def test_partial_close_equals_int64_reference():
     rng = np.random.default_rng(10)
     for _ in range(300):

@@ -1,10 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sumgraph.edge_matrix import indicator
+from sumgraph.graph_model import ParentGraph
 from sumgraph.oracle import (
     CovariancePair,
     OracleError,
+    _check_recovered_conditional_covariance,
+    _conditional_covariance_of_u,
+    conditional_covariance,
     derive_linear_summary,
     derive_linear_summary_from_summary,
     implied_covariance,
@@ -19,6 +25,7 @@ from sumgraph.oracle import (
 )
 from sumgraph.transform import (
     MarginalConditionSpec,
+    compute_split,
     spec_of,
     summary_from_parent,
     summary_from_summary,
@@ -72,6 +79,38 @@ def test_sampling_keeps_the_double_loop_stream():
         sys = sample_system(g, seed)
         assert np.array_equal(sys.a, a), seed
         assert np.array_equal(sys.dvar, dvar), seed
+
+
+def _random_graph(rng, n, p):
+    a = np.eye(n, dtype=np.int8)
+    a[np.triu(rng.random((n, n)) < p, 1)] = 1
+    return ParentGraph(tuple(range(1, n + 1)), a)
+
+
+def test_one_pass_sampling_keeps_the_stream_at_its_edges():
+    # Two arrows share one sign word, so odd and even arrow counts end the
+    # stream differently; the complete and the sparse 160-node DAGs read
+    # long streams.
+    rng = np.random.default_rng(53)
+    graphs = [
+        dag([1, 2, 3], []),
+        dag([1, 2, 3], [(1, 3)]),
+        dag([1, 2, 3], [(1, 2), (2, 3)]),
+        dag([1, 2, 3], [(1, 2), (1, 3), (2, 3)]),
+        ParentGraph(tuple(range(1, 61)), np.triu(np.ones((60, 60), dtype=np.int8))),
+    ] + [_random_graph(rng, 160, 3.0 / 160) for _ in range(5)]
+    for g in graphs:
+        for seed in range(10):
+            draws = np.random.default_rng(seed)
+            a = np.eye(g.dim)
+            for i in range(g.dim):
+                for k in range(i + 1, g.dim):
+                    if g.amat[i, k]:
+                        a[i, k] = -draws.uniform(0.3, 0.9) * draws.choice((-1.0, 1.0))
+            dvar = draws.uniform(0.5, 1.5, size=g.dim)
+            sys = sample_system(g, seed)
+            assert np.array_equal(sys.a, a), (g.dim, seed)
+            assert np.array_equal(sys.dvar, dvar), (g.dim, seed)
 
 
 def test_system_from_coefficients_requires_every_edge(iv_graph):
@@ -321,6 +360,51 @@ def test_reduced_form_consistency(two_stage_graph):
     assert np.allclose(pi_v_part, -np.linalg.inv(model.h_uu) @ model.h_uv, atol=1e-9)
 
 
+def test_recovered_covariance_check_catches_a_perturbed_residual_variance():
+    # The last u node has no parent in u, so its row of H_uu^{-1} is a unit
+    # vector and scaling its residual variance by 1 + 1e-4 moves that
+    # diagonal entry of the recovered covariance by ten times the tolerance.
+    rng = np.random.default_rng(63)
+    caught = 0
+    while caught < 100:
+        n = int(rng.integers(5, 161))
+        g = _random_graph(rng, n, 3.0 / n)
+        perm = [int(x) for x in rng.permutation(n) + 1]
+        spec = spec_of(perm[: n // 10], perm[n // 10 : n // 10 + n // 4])
+        sys = sample_system(g, caught)
+        model = derive_linear_summary(sys, spec)
+        if not model.u_nodes:
+            continue
+        w_uu = model.w_uu.copy()
+        w_uu[-1, -1] *= 1 + 1e-4
+        with pytest.raises(OracleError):
+            _check_recovered_conditional_covariance(sys, replace(model, w_uu=w_uu))
+        caught += 1
+
+
+def test_conditional_covariance_target_equals_the_full_covariance_route():
+    rng = np.random.default_rng(64)
+    compared = 0
+    for trial in range(240):
+        dense = trial % 3 == 0
+        n = int(rng.integers(5, 45)) if dense else int(rng.integers(20, 161))
+        g = _random_graph(rng, n, 0.5 if dense else 3.0 / n)
+        perm = [int(x) for x in rng.permutation(n) + 1]
+        c, m = perm[: n // 10], perm[n // 10 : n // 10 + n // 4]
+        split = compute_split(g, spec_of(c, m))
+        if not split.u:
+            continue
+        sys = sample_system(g, trial)
+        u = [g.index(x) for x in split.u]
+        given = [g.index(x) for x in split.v] + [g.index(x) for x in sorted(c)]
+        old = conditional_covariance(implied_covariance(sys), u, given)
+        new = _conditional_covariance_of_u(sys, u, sorted(g.index(x) for x in m))
+        # to 1e-10 of the largest entry: dense cases reach entries of 780
+        assert np.abs(new - old).max() <= 1e-10 * max(1.0, np.abs(old).max()), trial
+        compared += 1
+    assert compared >= 200
+
+
 # ---------------------------------------------------------------------------
 # MAG coefficients
 
@@ -455,3 +539,18 @@ def test_path_criterion_soundness_sampled():
                     given = [gi[x] for x in set(cset) | spec.conditioning]
                     for cov in covs:
                         assert abs(partial_correlation(cov, gi[i], gi[k], given)) < 1e-8
+
+
+@pytest.mark.parametrize("key, n", [([34, 59], 55), ([35, 59], 59)])
+def test_verify_dense_case_with_large_covariances(key, n):
+    # Covariance entries here grow to about 1e5, where the product of the
+    # full covariance and concentration matrices misses the identity by
+    # more than an absolute 1e-10 although the system is well formed.
+    rng = np.random.default_rng(key)
+    assert int(rng.integers(50, 61)) == n
+    a = np.eye(n, dtype=np.int8)
+    a[np.triu(rng.random((n, n)) < 0.5, 1)] = 1
+    perm = [int(x) for x in rng.permutation(n) + 1]
+    spec = spec_of(perm[:8], perm[8:24])
+    report = verify_structural_zeros(ParentGraph(tuple(range(1, n + 1)), a), spec, 10, int(rng.integers(1000)))
+    assert report.ok, report.lines()
