@@ -20,11 +20,13 @@ re-parses to the identical graph.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from .confounding import ConfoundingError, audit_edge, indirect_paths
+from .edge_matrix import EdgeMatrixError
 from .graph_model import (
     ARROW,
     DASHED,
@@ -89,6 +91,16 @@ def _id_key(node: NodeId):
     return (0, int(s)) if s.lstrip("-").isdigit() else (1, s)
 
 
+def _number(text: str, what: str, lineno: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DocumentError(f"bad {what} {text.strip()!r}", lineno)
+    return value
+
+
 def parse_graph(text: str) -> GraphDocument:
     nodes: list[str] = []
     u_nodes: Optional[list[str]] = None
@@ -125,20 +137,13 @@ def parse_graph(text: str) -> GraphDocument:
             if ":" not in rest:
                 raise DocumentError("var line needs ': <value>'", lineno)
             name, value = rest.split(":", 1)
-            name = name.strip()
-            try:
-                variances[name] = float(value)
-            except ValueError:
-                raise DocumentError(f"bad variance value {value.strip()!r}", lineno) from None
+            variances[name.strip()] = _number(value, "variance value", lineno)
             continue
         coef = None
         if ":" in line:
             line, coef_text = line.split(":", 1)
             line = line.strip()
-            try:
-                coef = float(coef_text)
-            except ValueError:
-                raise DocumentError(f"bad coefficient {coef_text.strip()!r}", lineno) from None
+            coef = _number(coef_text, "coefficient", lineno)
         tokens = line.split()
         if len(tokens) != 3 or tokens[1] not in _KINDS:
             raise DocumentError(f"cannot parse edge line {raw.strip()!r}", lineno)
@@ -259,15 +264,22 @@ class CommandError(Exception):
 
 
 def _load(path: str) -> GraphDocument:
+    """Read and parse a document; every command reads through here, so a
+    generating graph is always checked before any command uses it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc}") from None
     try:
-        return parse_graph(text)
+        doc = parse_graph(text)
     except DocumentError as exc:
         raise CommandError(f"{path}: {exc}") from None
+    if doc.is_parent:
+        report = validate_parent(doc.parent)
+        if not report.valid:
+            raise CommandError(f"{path}: invalid generating graph: {'; '.join(report.problems)}")
+    return doc
 
 
 def _node_set(text: Optional[str]) -> frozenset:
@@ -288,9 +300,6 @@ def _spec(args, nodes) -> MarginalConditionSpec:
 def _checked_parent(doc: GraphDocument, path: str) -> ParentGraph:
     if not doc.is_parent:
         raise CommandError(f"{path}: this command needs a generating graph (no u:/v: lines)")
-    report = validate_parent(doc.parent)
-    if not report.valid:
-        raise CommandError(f"{path}: invalid generating graph: {'; '.join(report.problems)}")
     return doc.parent
 
 
@@ -523,7 +532,7 @@ def main(argv: Optional[list[str]] = None, out=None, err=None) -> int:
     except CommandError as exc:
         print(f"sumgraph: {exc}", file=err)
         return 2
-    except (GraphModelError, TransformError, QueryError, OracleError) as exc:
+    except (GraphModelError, TransformError, QueryError, OracleError, EdgeMatrixError) as exc:
         print(f"sumgraph: {exc}", file=err)
         return 2
 

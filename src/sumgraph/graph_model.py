@@ -19,6 +19,7 @@ graphs can still be represented and diagnosed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable, Optional
 
 import numpy as np
@@ -47,12 +48,14 @@ class PlacementError(GraphModelError):
 
 
 def _as_binary(m, shape, name: str) -> np.ndarray:
+    """A read-only int8 copy of a 0/1 matrix.  Graphs cache what they derive
+    from their components, so the components must never change."""
     m = np.asarray(m)
     if m.shape != shape:
         raise GraphModelError(f"{name} has shape {m.shape}, expected {shape}")
-    if not np.isin(m, (0, 1)).all():  # before the cast, which would truncate
+    if not ((m == 0) | (m == 1)).all():  # before the cast, which would truncate
         raise GraphModelError(f"{name} must be a 0/1 matrix")
-    m = m.astype(np.int8)
+    m = m.astype(np.int8, copy=True)
     m.setflags(write=False)
     return m
 
@@ -168,20 +171,18 @@ class SummaryGraph:
         return hash((self.u_nodes, self.v_nodes, self.h_uu.tobytes(), self.h_uv.tobytes(),
                      self.w_uu.tobytes(), self.s_vv.tobytes()))
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[NodeId, ...]:
         return self.u_nodes + self.v_nodes
 
     def in_u(self, node: NodeId) -> bool:
         return node in self.u_nodes
 
-    def same_skeleton_kinds(self, other: "SummaryGraph") -> bool:
-        """Equality up to node order: same partition and same edges by kind."""
-        if set(self.u_nodes) != set(other.u_nodes) or set(self.v_nodes) != set(other.v_nodes):
-            return False
-        return set(e.canonical() for e in to_edge_list(self)) == set(
-            e.canonical() for e in to_edge_list(other)
-        )
+    @cached_property
+    def edge_index(self) -> "EdgeIndex":
+        """The edges compiled on first use and kept; the components are
+        read-only, so the index cannot go stale."""
+        return _compile(self)
 
     def ancestors_in_u(self, node: NodeId) -> frozenset:
         """Ancestors of a u node within u, via arrows of h_uu (node excluded)."""
@@ -194,6 +195,51 @@ class SummaryGraph:
         closed = reach_closure(_full_arrow_matrix(self))
         j = self.nodes.index(node)
         return frozenset(self.nodes[i] for i in np.flatnonzero(closed[:, j]) if i != j)
+
+
+@dataclass(frozen=True)
+class EdgeIndex:
+    """The edges of a summary graph, read once off its four components.
+
+    ``adjacency`` maps each node to its edges as (other node, mark here,
+    mark there), ordered by the other node's position; edges to the same
+    node come in row order: an arrow headed at the earlier node, a dashed
+    edge, an arrow headed at the later node.  ``parents`` holds, by node
+    position, the positions of the arrow tails into that node (h_uu and
+    h_uv); ``position`` maps each node to its position."""
+
+    position: dict
+    adjacency: dict
+    parents: tuple[tuple[int, ...], ...]
+
+
+def _compile(g: SummaryGraph) -> EdgeIndex:
+    u, v = g.u_nodes, g.v_nodes
+    nu = len(u)
+    position = {n: i for i, n in enumerate(g.nodes)}
+    parents: list[list[int]] = [[] for _ in position]
+    # (row, block, x, y, mark at x, mark at y) in the order the rows of
+    # h_uu, h_uv and the upper triangle of w_uu are read together
+    links = []
+    for i, k in np.argwhere(g.h_uu).tolist():
+        if i != k:
+            links.append((i, 0, u[i], u[k], HEAD, TAIL))
+            parents[i].append(k)
+    for i, k in np.argwhere(g.h_uv).tolist():
+        links.append((i, 1, u[i], v[k], HEAD, TAIL))
+        parents[i].append(nu + k)
+    for i, k in np.argwhere(np.triu(g.w_uu, 1)).tolist():
+        links.append((i, 2, u[i], u[k], DASH, DASH))
+    links.sort(key=lambda rec: rec[:2])
+    for i, k in np.argwhere(np.triu(g.s_vv, 1)).tolist():
+        links.append((i, 3, v[i], v[k], LINE, LINE))
+    adjacency: dict = {n: [] for n in position}
+    for _, _, x, y, mark_x, mark_y in links:
+        adjacency[x].append((y, mark_x, mark_y))
+        adjacency[y].append((x, mark_y, mark_x))
+    for n, recs in adjacency.items():
+        adjacency[n] = tuple(sorted(recs, key=lambda rec: position[rec[0]]))
+    return EdgeIndex(position, adjacency, tuple(map(tuple, parents)))
 
 
 def _full_arrow_matrix(g: SummaryGraph) -> np.ndarray:

@@ -9,7 +9,12 @@ The implied verdict is computed by a reachability sweep over
 (node, entering edge-end) states, which admits repeated nodes; an active
 walk exists iff an active path does, and the brute-force path enumerator
 used in the tests double-checks that equivalence on small graphs.
-Witness paths are found by explicit enumeration, shortest first.
+A witness is the shortest active path, ties broken by node order; it is
+found by a depth-first search whose length cap rises one node at a time
+and stops at the first length with a hit, so the longer paths are never
+listed.  ``active_paths`` still lists every path for the callers that
+report them all.  All of these read the edge lists each graph compiles
+once (``SummaryGraph.edge_index``).
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .graph_model import (
     GraphModelError,
     NodeId,
     SummaryGraph,
-    _full_arrow_matrix,
     _reachable,
     _skeleton,
     classify,
@@ -91,43 +95,18 @@ class Verdict:
     witness: Optional[PathWitness] = None
 
 
-_EdgeRec = tuple  # (other_node, mark_here, mark_there)
-
-
-def _adjacency(g: SummaryGraph) -> dict[NodeId, list[_EdgeRec]]:
-    adj: dict[NodeId, list[_EdgeRec]] = {n: [] for n in g.nodes}
-    nu = len(g.u_nodes)
-
-    def link(x, y, mark_x, mark_y):
-        adj[x].append((y, mark_x, mark_y))
-        adj[y].append((x, mark_y, mark_x))
-
-    for i in range(nu):
-        for k in range(nu):
-            if i != k and g.h_uu[i, k]:
-                link(g.u_nodes[i], g.u_nodes[k], HEAD, TAIL)
-        for k in range(len(g.v_nodes)):
-            if g.h_uv[i, k]:
-                link(g.u_nodes[i], g.v_nodes[k], HEAD, TAIL)
-        for k in range(i + 1, nu):
-            if g.w_uu[i, k]:
-                link(g.u_nodes[i], g.u_nodes[k], DASH, DASH)
-    for i in range(len(g.v_nodes)):
-        for k in range(i + 1, len(g.v_nodes)):
-            if g.s_vv[i, k]:
-                link(g.v_nodes[i], g.v_nodes[k], LINE, LINE)
-    order = {n: i for i, n in enumerate(g.nodes)}
-    for n in adj:
-        adj[n].sort(key=lambda rec: order[rec[0]])
-    return adj
-
-
 def _collision_enabled(g: SummaryGraph, conditioning: frozenset) -> frozenset:
     """Nodes that are in c or have a descendant in c: one sweep from c up
     the arrows of h_uu and h_uv."""
-    pos = {n: i for i, n in enumerate(g.nodes)}
-    up = _reachable(_full_arrow_matrix(g), [pos[c] for c in conditioning if c in pos])
-    return frozenset(conditioning) | {g.nodes[i] for i in up}
+    index = g.edge_index
+    seen = {index.position[c] for c in conditioning if c in index.position}
+    stack = list(seen)
+    while stack:
+        for k in index.parents[stack.pop()]:
+            if k not in seen:
+                seen.add(k)
+                stack.append(k)
+    return frozenset(conditioning) | {g.nodes[i] for i in seen}
 
 
 def _inner_ok(
@@ -140,6 +119,18 @@ def _inner_ok(
     if is_collision_pair(mark_in, mark_out):
         return node in enabled
     return node in marginalised
+
+
+def _roles(g, alpha, beta, conditioning, marginalised):
+    """The query's node sets as frozensets, ``marginalised`` defaulting to
+    every other node, plus the nodes enabled as collisions."""
+    alpha, beta = frozenset(alpha), frozenset(beta)
+    conditioning = frozenset(conditioning)
+    if marginalised is None:
+        marginalised = frozenset(g.nodes) - alpha - beta - conditioning
+    else:
+        marginalised = frozenset(marginalised)
+    return alpha, beta, marginalised, _collision_enabled(g, conditioning)
 
 
 def has_active_path(
@@ -156,14 +147,8 @@ def has_active_path(
     queries).  ``skip_direct`` removes given single edges (as frozenset node
     pairs) from consideration, which the confounding audit uses to ignore the
     audited edge itself."""
-    alpha, beta = frozenset(alpha), frozenset(beta)
-    conditioning = frozenset(conditioning)
-    if marginalised is None:
-        marginalised = frozenset(g.nodes) - alpha - beta - conditioning
-    else:
-        marginalised = frozenset(marginalised)
-    enabled = _collision_enabled(g, conditioning)
-    adj = _adjacency(g)
+    alpha, beta, marginalised, enabled = _roles(g, alpha, beta, conditioning, marginalised)
+    adj = g.edge_index.adjacency
     endpoints = alpha | beta
     seen: set[tuple[NodeId, str]] = set()
     stack: list[tuple[NodeId, str]] = []
@@ -193,6 +178,46 @@ def has_active_path(
     return False
 
 
+def _path_search(g, alpha, beta, marginalised, enabled, skip_direct, cap, bound=()):
+    """Active paths of at most ``cap`` nodes, depth first from each alpha
+    node and along each node's edges, both in node order.  Yields each path
+    as (node positions, nodes, edge marks).  A nonempty ``bound`` holds the
+    positions of a path of ``cap`` nodes; every branch whose positions
+    already sort after that path's is cut."""
+    adj = g.edge_index.adjacency
+    order = g.edge_index.position
+    endpoints = alpha | beta
+
+    def extend(nodes, marks, key, mark_in):
+        x = nodes[-1]
+        depth = len(nodes)
+        for (y, mark_x, mark_y) in adj[x]:
+            if depth > 1 and not _inner_ok(x, mark_in, mark_x, marginalised, enabled):
+                continue
+            ky = key + [order[y]]
+            if bound and ky > bound[0][: depth + 1]:
+                continue
+            step = marks + [(mark_x, mark_y)]
+            if y in beta:
+                if depth > 1 or frozenset((x, y)) not in skip_direct:
+                    yield ky, nodes + [y], step
+                continue
+            if y in endpoints or y in nodes or depth + 1 >= cap:
+                continue
+            yield from extend(nodes + [y], step, ky, mark_y)
+
+    for a in sorted(alpha, key=order.__getitem__):
+        yield from extend([a], [], [order[a]], "")
+
+
+def _witness(nodes: list, marks: list) -> PathWitness:
+    statuses = tuple(
+        "collision" if is_collision_pair(marks[j - 1][1], marks[j][0]) else "transmitting"
+        for j in range(1, len(marks))
+    )
+    return PathWitness(tuple(nodes), tuple(marks), statuses)
+
+
 def active_paths(
     g: SummaryGraph,
     alpha: Iterable[NodeId],
@@ -204,67 +229,46 @@ def active_paths(
 ) -> list[PathWitness]:
     """Enumerate active paths (distinct inner nodes, endpoints excluded as
     inner nodes), ordered by length then lexicographically by node order."""
-    alpha, beta = frozenset(alpha), frozenset(beta)
-    conditioning = frozenset(conditioning)
-    if marginalised is None:
-        marginalised = frozenset(g.nodes) - alpha - beta - conditioning
-    else:
-        marginalised = frozenset(marginalised)
-    enabled = _collision_enabled(g, conditioning)
-    adj = _adjacency(g)
-    endpoints = alpha | beta
-    order = {n: i for i, n in enumerate(g.nodes)}
-    found: list[PathWitness] = []
+    roles = _roles(g, alpha, beta, conditioning, marginalised)
     limit = max_len if max_len is not None else len(g.nodes)
+    found = [(len(key), key, _witness(nodes, marks))
+             for key, nodes, marks in _path_search(g, *roles, skip_direct, limit + 1)]
+    found.sort(key=lambda rec: rec[:2])
+    return [w for _, _, w in found]
 
-    def extend(path_nodes, path_marks, statuses, mark_in):
-        x = path_nodes[-1]
-        for (y, mark_x, mark_y) in adj[x]:
-            if len(path_nodes) > 1:
-                if not _inner_ok(x, mark_in, mark_x, marginalised, enabled):
-                    continue
-            status = (
-                ()
-                if len(path_nodes) == 1
-                else ("collision" if is_collision_pair(mark_in, mark_x) else "transmitting",)
-            )
-            if y in beta:
-                if len(path_nodes) == 1 and frozenset((x, y)) in skip_direct:
-                    continue
-                found.append(
-                    PathWitness(
-                        nodes=tuple(path_nodes) + (y,),
-                        marks=tuple(path_marks) + ((mark_x, mark_y),),
-                        inner_status=tuple(statuses) + status,
-                    )
-                )
-                continue
-            if y in endpoints or y in path_nodes:
-                continue
-            if len(path_nodes) >= limit:
-                continue
-            extend(
-                path_nodes + [y],
-                path_marks + [(mark_x, mark_y)],
-                list(statuses) + list(status),
-                mark_y,
-            )
 
-    for i in sorted(alpha, key=lambda n: order[n]):
-        extend([i], [], [], "")
-    found.sort(key=lambda w: (len(w.nodes), tuple(order[n] for n in w.nodes)))
-    return found
+def _first_active_path(
+    g: SummaryGraph, alpha: frozenset, beta: frozenset, conditioning: frozenset
+) -> Optional[PathWitness]:
+    """``active_paths(g, alpha, beta, conditioning)[0]`` without enumerating
+    the rest: the search is capped at ``cap`` nodes, and the cap rises one
+    node at a time until some level has a hit.
+
+    Within a level the search keeps the first path with the smallest node
+    positions and cuts every branch that sorts after it.  A later branch
+    can still tie with that path's prefix where two edges join the same
+    pair of nodes and reach the second node with different marks; such a
+    branch is searched on and replaces the path only with a smaller one."""
+    roles = _roles(g, alpha, beta, conditioning, None)
+    best: list = []  # [positions, nodes, marks] of the best path so far
+    for cap in range(2, len(g.nodes) + 1):
+        for path in _path_search(g, *roles, frozenset(), cap, best):
+            if not best or path[0] < best[0]:
+                best[:] = path
+        if best:
+            return _witness(best[1], best[2])
+    return None
 
 
 def implies_independence(g: SummaryGraph, q: IndependenceQuery) -> Verdict:
     """Decide whether the graph implies alpha independent of beta given c,
-    returning a shortest active path as witness when it does not."""
+    returning a shortest active path as witness when it does not (the
+    first of ``active_paths``, found without listing the others)."""
     extra = (q.alpha | q.beta | q.given) - set(g.nodes)
     if extra:
         raise QueryError(f"query names unknown nodes: {sorted(extra, key=str)}")
     if has_active_path(g, q.alpha, q.beta, q.given):
-        paths = active_paths(g, q.alpha, q.beta, q.given)
-        return Verdict(implied=False, witness=paths[0] if paths else None)
+        return Verdict(implied=False, witness=_first_active_path(g, q.alpha, q.beta, q.given))
     return Verdict(implied=True)
 
 
@@ -327,9 +331,7 @@ def local_markov(g: SummaryGraph) -> list[IndependenceStatement]:
     out: list[IndependenceStatement] = []
 
     def confirmed(i, k, given) -> bool:
-        return implies_independence(
-            g, IndependenceQuery(frozenset([i]), frozenset([k]), frozenset(given))
-        ).implied
+        return not has_active_path(g, (i,), (k,), given)
 
     # (1) within v, given the rest of v
     for a in range(nv):
@@ -409,7 +411,13 @@ class NotARegressionGraphError(QueryError):
 def equivalence_obstruction(g: SummaryGraph) -> Optional[Obstruction]:
     """Search for a structure that rules out Markov equivalence to a DAG:
     a chordless collision path in four nodes, or a chordless cycle of four
-    or more nodes within v.  Finding none does not certify equivalence."""
+    or more nodes within v.  Finding none does not certify equivalence.
+
+    The cycle search first strips simplicial v nodes (whose neighbours are
+    pairwise joined), which lie on no chordless cycle, until none is left;
+    a chordal v, a complete one say, is settled there.  The subsets of the
+    remaining core are then tried in order of size, so on a core that is
+    not chordal the search is still exponential in the core's size."""
     cls = classify(g)
     if cls.kind != "regression_graph":
         raise NotARegressionGraphError(
@@ -498,11 +506,23 @@ def _chordless_collision_path(g: SummaryGraph) -> Optional[Obstruction]:
 
 
 def _chordless_cycle_in_v(g: SummaryGraph) -> Optional[Obstruction]:
-    nv = len(g.v_nodes)
     s = g.s_vv
+    core = set(range(len(g.v_nodes)))
+    nbrs = {x: set(np.flatnonzero(s[x]).tolist()) - {x} for x in core}
+    # a simplicial node (its neighbours pairwise joined) is on no chordless
+    # cycle, in v or in v without the nodes already stripped
+    stripped = True
+    while stripped:
+        stripped = False
+        for x in sorted(core):
+            near = nbrs[x] & core
+            if all(z in nbrs[y] for y, z in itertools.combinations(near, 2)):
+                core.discard(x)
+                stripped = True
     # enumerate simple cycles of length >= 4 without chords
-    for length in range(4, nv + 1):
-        for combo in itertools.combinations(range(nv), length):
+    core = sorted(core)
+    for length in range(4, len(core) + 1):
+        for combo in itertools.combinations(core, length):
             sub = s[np.ix_(combo, combo)]
             deg = sub.sum(axis=1) - 1
             if not (deg == 2).all():

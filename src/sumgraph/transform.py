@@ -21,7 +21,13 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .edge_matrix import indicator, partial_close, partial_invert, reach_closure
+from .edge_matrix import (
+    indicator,
+    is_unit_upper_triangular,
+    partial_close,
+    partial_invert,
+    reach_closure,
+)
 from .graph_model import (
     ARROW,
     DASH,
@@ -617,21 +623,36 @@ def mag_from_summary(g: SummaryGraph) -> Mag:
     copied; within u, each ancestral pair keeps an arrow exactly when the
     dependence survives conditioning on the remaining ancestors, and each
     non-ancestral pair gains a dashed edge exactly when the residual
-    association survives conditioning on the joint ancestor set."""
+    association survives conditioning on the joint ancestor set.
+
+    Both tests read partial closures that depend only on the ancestor set
+    e conditioned on: K, h_uu closed over the rest a, and Q, w_uu closed
+    over e.  They are formed once per distinct e.  The stored u order must
+    put every node before its ancestors (h_uu unit upper-triangular);
+    ``TransformError`` is raised otherwise."""
     nu = len(g.u_nodes)
+    if nu and not is_unit_upper_triangular(g.h_uu):
+        raise TransformError("h_uu is not unit upper-triangular in the stored u order")
     closed = reach_closure(g.h_uu)
     anc = [
         frozenset(k for k in range(nu) if k != i and closed[i, k]) for i in range(nu)
     ]
     h_new = np.eye(nu, dtype=np.int8)
     w_new = np.eye(nu, dtype=np.int8)
-    all_pos = set(range(nu))
+    closures: dict[frozenset, tuple] = {}
+
+    def closed_over(e: frozenset) -> tuple:
+        if e not in closures:
+            a = [x for x in range(nu) if x not in e]
+            k_mat = partial_close(g.h_uu, a).astype(np.int64)
+            q_mat = partial_close(g.w_uu, e).astype(np.int64)
+            closures[e] = (k_mat, q_mat, k_mat[:, a], q_mat[np.ix_(a, a)])
+        return closures[e]
+
     for i in range(nu):
         b = sorted(anc[i])
         if b:
-            a = sorted(all_pos - set(b))
-            k_mat = partial_close(g.h_uu, a).astype(np.int64)
-            q_mat = partial_close(g.w_uu, b).astype(np.int64)
+            k_mat, q_mat, _, _ = closed_over(anc[i])
             row = k_mat[i, b] + q_mat[i, b] @ k_mat[np.ix_(b, b)]
             for pos, kk in enumerate(b):
                 if row[pos] > 0:
@@ -639,14 +660,9 @@ def mag_from_summary(g: SummaryGraph) -> Mag:
         for ll in range(i + 1, nu):
             if ll in anc[i]:
                 continue
-            e = sorted(anc[i] | anc[ll])
-            a = sorted(all_pos - set(e))
-            k_mat = partial_close(g.h_uu, a).astype(np.int64)
-            q_mat = partial_close(g.w_uu, e).astype(np.int64) if e else g.w_uu.astype(np.int64)
-            s_aa = k_mat[np.ix_(a, a)] @ q_mat[np.ix_(a, a)] @ k_mat[np.ix_(a, a)].T
-            ai = a.index(i)
-            al = a.index(ll)
-            if s_aa[ai, al] > 0:
+            # the (i, ll) entry of K_aa Q_aa K_aa^T
+            _, _, k_a, q_aa = closed_over(anc[i] | anc[ll])
+            if k_a[i] @ q_aa @ k_a[ll] > 0:
                 w_new[i, ll] = 1
                 w_new[ll, i] = 1
     return Mag(

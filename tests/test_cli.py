@@ -231,3 +231,71 @@ def test_error_paths_exit_two():
     assert code == 2 and "cannot read" in err
     code, _, err = run(["transform", str(DATA / "iv.g"), "--condition", "4", "--marginalise", "4"])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# every generating document is checked before any command reads it
+
+COMMANDS = [
+    ["transform", "--marginalise", "2"],
+    ["transform", "--marginalise", "2", "--stepwise"],
+    ["query", "--alpha", "1", "--beta", "3", "--given", "2"],
+    ["mag"],
+    ["classify"],
+    ["audit"],
+    ["verify", "--draws", "2"],
+    ["equivalence"],
+]
+
+
+def _run_on(tmp_path, text, command):
+    path = tmp_path / "doc.g"
+    path.write_text(text)
+    return run([command[0], str(path)] + command[1:])
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: " ".join(c))
+def test_cyclic_generating_document_exits_two(tmp_path, command):
+    code, out, err = _run_on(tmp_path, "nodes: 1 2 3\n1 <- 2\n2 <- 3\n3 <- 1\n", command)
+    assert code == 2 and out == ""
+    assert "invalid generating graph: entry (3, 1) below the diagonal" in err
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: " ".join(c))
+def test_out_of_order_generating_document_exits_two(tmp_path, command):
+    code, out, err = _run_on(tmp_path, "nodes: 1 2 3\n3 <- 1\n2 <- 3\n", command)
+    assert code == 2 and out == ""
+    assert "invalid generating graph: entry (3, 1) below the diagonal" in err
+
+
+def test_mag_on_out_of_order_document_exits_two(tmp_path):
+    code, out, err = _run_on(tmp_path, "nodes: 1 2 3\n3 <- 1\n2 <- 3\n", ["mag"])
+    assert (code, out) == (2, "")
+    assert err.startswith("sumgraph: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: " ".join(c))
+def test_non_finite_coefficient_document_exits_two(tmp_path, command, value):
+    code, out, err = _run_on(tmp_path, f"nodes: 1 2 3\n1 <- 2 : {value}\n2 <- 3 : 0.5\n", command)
+    assert code == 2 and out == ""
+    assert f"line 2: bad coefficient '{value}'" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_variance_is_a_document_error(value):
+    with pytest.raises(DocumentError, match=f"line 3: bad variance value '{value}'"):
+        parse_graph(f"nodes: 1 2\n1 <- 2 : 0.5\nvar 1 : {value}\n")
+
+
+def test_edge_matrix_errors_exit_two(monkeypatch):
+    from sumgraph import cli
+    from sumgraph.edge_matrix import EdgeMatrixError
+
+    def broken(*args):
+        raise EdgeMatrixError("edge matrix entries must be 0 or 1")
+
+    monkeypatch.setattr(cli, "summary_from_parent", broken)
+    code, out, err = run(["transform", str(DATA / "iv.g"), "--marginalise", "4"])
+    assert (code, out) == (2, "")
+    assert err == "sumgraph: edge matrix entries must be 0 or 1\n"

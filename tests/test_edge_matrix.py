@@ -332,3 +332,13 @@ def test_ancestor_closure_equals_full_partial_close(n, pyrandom):
             if pyrandom.random() < 0.5:
                 b[i, k] = 1
     assert np.array_equal(ancestor_closure(b), partial_close(b, range(n)))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.9, 257, np.nan])
+def test_binary_operators_reject_entries_other_than_zero_and_one(bad):
+    m = np.eye(3)
+    m[0, 1] = bad
+    for call in (reach_closure, lambda b: partial_close(b, [0, 1])):
+        with pytest.raises(EdgeMatrixError, match="entries must be 0 or 1"):
+            call(m)
+    assert np.array_equal(reach_closure(np.eye(3, dtype=bool)), np.eye(3))
