@@ -43,13 +43,6 @@ def as_subset(a: Iterable[int], dim: int) -> np.ndarray:
     return np.asarray(idx, dtype=int)
 
 
-def _complement(ai: np.ndarray, dim: int) -> np.ndarray:
-    """The sorted indices below ``dim`` that are not in ``ai``."""
-    keep = np.ones(dim, dtype=bool)
-    keep[ai] = False
-    return np.flatnonzero(keep)
-
-
 def _square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -86,7 +79,7 @@ def partial_invert(f: np.ndarray, a: Iterable[int]) -> np.ndarray:
     ai = as_subset(a, dim)
     if ai.size == 0:
         return f.copy()
-    bi = _complement(ai, dim)
+    bi = np.setdiff1d(np.arange(dim), ai)
     faa = f[np.ix_(ai, ai)]
     try:
         faa_inv = np.linalg.inv(faa)
@@ -154,7 +147,7 @@ def partial_close(b: np.ndarray, a: Iterable[int]) -> np.ndarray:
     ai = as_subset(a, dim)
     if ai.size == 0:
         return b.copy()
-    bi = _complement(ai, dim)
+    bi = np.setdiff1d(np.arange(dim), ai)
     closed = reach_closure(b[np.ix_(ai, ai)])
     out = np.zeros_like(b)
     out[np.ix_(ai, ai)] = closed

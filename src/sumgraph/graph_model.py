@@ -55,7 +55,7 @@ def _as_binary(m, shape, name: str) -> np.ndarray:
         raise GraphModelError(f"{name} has shape {m.shape}, expected {shape}")
     if not ((m == 0) | (m == 1)).all():  # before the cast, which would truncate
         raise GraphModelError(f"{name} must be a 0/1 matrix")
-    m = m.astype(np.int8, copy=True)
+    m = m.astype(np.int8)
     m.setflags(write=False)
     return m
 

@@ -178,12 +178,10 @@ def has_active_path(
     return False
 
 
-def _path_search(g, alpha, beta, marginalised, enabled, skip_direct, cap, bound=()):
+def _path_search(g, alpha, beta, marginalised, enabled, skip_direct, cap):
     """Active paths of at most ``cap`` nodes, depth first from each alpha
     node and along each node's edges, both in node order.  Yields each path
-    as (node positions, nodes, edge marks).  A nonempty ``bound`` holds the
-    positions of a path of ``cap`` nodes; every branch whose positions
-    already sort after that path's is cut."""
+    as (node positions, nodes, edge marks)."""
     adj = g.edge_index.adjacency
     order = g.edge_index.position
     endpoints = alpha | beta
@@ -195,8 +193,6 @@ def _path_search(g, alpha, beta, marginalised, enabled, skip_direct, cap, bound=
             if depth > 1 and not _inner_ok(x, mark_in, mark_x, marginalised, enabled):
                 continue
             ky = key + [order[y]]
-            if bound and ky > bound[0][: depth + 1]:
-                continue
             step = marks + [(mark_x, mark_y)]
             if y in beta:
                 if depth > 1 or frozenset((x, y)) not in skip_direct:
@@ -242,20 +238,15 @@ def _first_active_path(
 ) -> Optional[PathWitness]:
     """``active_paths(g, alpha, beta, conditioning)[0]`` without enumerating
     the rest: the search is capped at ``cap`` nodes, and the cap rises one
-    node at a time until some level has a hit.
-
-    Within a level the search keeps the first path with the smallest node
-    positions and cuts every branch that sorts after it.  A later branch
-    can still tie with that path's prefix where two edges join the same
-    pair of nodes and reach the second node with different marks; such a
-    branch is searched on and replaces the path only with a smaller one."""
+    node at a time until some level has a hit.  Every hit of that level has
+    ``cap`` nodes; the first with the smallest node positions is kept."""
     roles = _roles(g, alpha, beta, conditioning, None)
-    best: list = []  # [positions, nodes, marks] of the best path so far
     for cap in range(2, len(g.nodes) + 1):
-        for path in _path_search(g, *roles, frozenset(), cap, best):
-            if not best or path[0] < best[0]:
-                best[:] = path
-        if best:
+        best = None
+        for path in _path_search(g, *roles, frozenset(), cap):
+            if best is None or path[0] < best[0]:
+                best = path
+        if best is not None:
             return _witness(best[1], best[2])
     return None
 

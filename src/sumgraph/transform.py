@@ -627,9 +627,10 @@ def mag_from_summary(g: SummaryGraph) -> Mag:
 
     Both tests read partial closures that depend only on the ancestor set
     e conditioned on: K, h_uu closed over the rest a, and Q, w_uu closed
-    over e.  They are formed once per distinct e.  The stored u order must
-    put every node before its ancestors (h_uu unit upper-triangular);
-    ``TransformError`` is raised otherwise."""
+    over e.  The pairs are grouped by e and worked through one e at a time,
+    so each K and Q is formed once and only one e's are held.  The stored u
+    order must put every node before its ancestors (h_uu unit
+    upper-triangular); ``TransformError`` is raised otherwise."""
     nu = len(g.u_nodes)
     if nu and not is_unit_upper_triangular(g.h_uu):
         raise TransformError("h_uu is not unit upper-triangular in the stored u order")
@@ -637,32 +638,30 @@ def mag_from_summary(g: SummaryGraph) -> Mag:
     anc = [
         frozenset(k for k in range(nu) if k != i and closed[i, k]) for i in range(nu)
     ]
+    # (i, None) tests the arrows from i's ancestors, (i, ll) the dashed edge
+    by_e: dict[frozenset, list] = {}
+    for i in range(nu):
+        if anc[i]:
+            by_e.setdefault(anc[i], []).append((i, None))
+        for ll in range(i + 1, nu):
+            if ll not in anc[i]:
+                by_e.setdefault(anc[i] | anc[ll], []).append((i, ll))
     h_new = np.eye(nu, dtype=np.int8)
     w_new = np.eye(nu, dtype=np.int8)
-    closures: dict[frozenset, tuple] = {}
-
-    def closed_over(e: frozenset) -> tuple:
-        if e not in closures:
-            a = [x for x in range(nu) if x not in e]
-            k_mat = partial_close(g.h_uu, a).astype(np.int64)
-            q_mat = partial_close(g.w_uu, e).astype(np.int64)
-            closures[e] = (k_mat, q_mat, k_mat[:, a], q_mat[np.ix_(a, a)])
-        return closures[e]
-
-    for i in range(nu):
-        b = sorted(anc[i])
-        if b:
-            k_mat, q_mat, _, _ = closed_over(anc[i])
-            row = k_mat[i, b] + q_mat[i, b] @ k_mat[np.ix_(b, b)]
-            for pos, kk in enumerate(b):
-                if row[pos] > 0:
-                    h_new[i, kk] = 1
-        for ll in range(i + 1, nu):
-            if ll in anc[i]:
-                continue
+    for e, pairs in by_e.items():
+        b = sorted(e)
+        a = [x for x in range(nu) if x not in e]
+        k_mat = partial_close(g.h_uu, a).astype(np.int64)
+        q_mat = partial_close(g.w_uu, b).astype(np.int64)
+        k_a, q_aa = k_mat[:, a], q_mat[np.ix_(a, a)]
+        for i, ll in pairs:
+            if ll is None:
+                row = k_mat[i, b] + q_mat[i, b] @ k_mat[np.ix_(b, b)]
+                for pos, kk in enumerate(b):
+                    if row[pos] > 0:
+                        h_new[i, kk] = 1
             # the (i, ll) entry of K_aa Q_aa K_aa^T
-            _, _, k_a, q_aa = closed_over(anc[i] | anc[ll])
-            if k_a[i] @ q_aa @ k_a[ll] > 0:
+            elif k_a[i] @ q_aa @ k_a[ll] > 0:
                 w_new[i, ll] = 1
                 w_new[ll, i] = 1
     return Mag(

@@ -1,10 +1,11 @@
 """The decision layer against the formulas it replaced, written out here.
 
 Each rewritten piece (the compiled edge index, the levelled witness
-search, the pruned cycle search, the memoised MAG closures and the
-local Markov confirmation) is compared with the plain formula on at
-least 300 seeded graphs, dense ones and regression graphs whose v block
-is complete or carries a planted chordless cycle among them.
+search, the pruned cycle search, the MAG closures grouped by ancestor
+set and the local Markov confirmation) is compared with the plain
+formula on at least 300 seeded graphs, dense ones and regression graphs
+whose v block is complete or carries a planted chordless cycle among
+them.
 """
 
 import itertools
@@ -310,7 +311,7 @@ def per_pair_mag(g: SummaryGraph) -> tuple:
     return h_new, w_new
 
 
-def test_memoised_mag_equals_the_per_pair_formula():
+def test_grouped_mag_equals_the_per_pair_formula():
     for _, s in seeded_graphs(5):
         mag = mag_from_summary(s)
         h_new, w_new = per_pair_mag(s)
