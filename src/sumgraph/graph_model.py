@@ -479,25 +479,18 @@ def _direction_preserving_path(succ: dict[int, list[int]], start: int, goal: int
 
 
 def to_edge_list(g: SummaryGraph) -> list[Edge]:
-    out = []
-    nu = len(g.u_nodes)
-    for i in range(nu):
-        for k in range(nu):
-            if i != k and g.h_uu[i, k]:
-                out.append(Edge(tail=g.u_nodes[k], head=g.u_nodes[i], kind=ARROW))
-    for i in range(nu):
-        for k in range(len(g.v_nodes)):
-            if g.h_uv[i, k]:
-                out.append(Edge(tail=g.v_nodes[k], head=g.u_nodes[i], kind=ARROW))
-    for i in range(nu):
-        for k in range(i + 1, nu):
-            if g.w_uu[i, k]:
-                out.append(Edge(tail=g.u_nodes[i], head=g.u_nodes[k], kind=DASHED))
-    for i in range(len(g.v_nodes)):
-        for k in range(i + 1, len(g.v_nodes)):
-            if g.s_vv[i, k]:
-                out.append(Edge(tail=g.v_nodes[i], head=g.v_nodes[k], kind=FULL))
-    return out
+    """The edges of ``g``: the arrows of h_uu, then those of h_uv, the dashed
+    edges of w_uu and the full lines of s_vv, each component read row by
+    row over its nonzero off-diagonal cells (upper triangle only where it
+    is symmetric)."""
+    u, v = g.u_nodes, g.v_nodes
+    h_uu = np.argwhere(g.h_uu).tolist()
+    return (
+        [Edge(tail=u[k], head=u[i], kind=ARROW) for i, k in h_uu if i != k]
+        + [Edge(tail=v[k], head=u[i], kind=ARROW) for i, k in np.argwhere(g.h_uv).tolist()]
+        + [Edge(tail=u[i], head=u[k], kind=DASHED) for i, k in np.argwhere(np.triu(g.w_uu, 1)).tolist()]
+        + [Edge(tail=v[i], head=v[k], kind=FULL) for i, k in np.argwhere(np.triu(g.s_vv, 1)).tolist()]
+    )
 
 
 def from_edge_list(

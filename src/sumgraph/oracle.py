@@ -36,6 +36,11 @@ class OracleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TriangularSystem:
+    """A recursive linear system on a parent graph.  Construction raises
+    ``OracleError`` unless every coefficient and variance is finite, the
+    variances are positive and the nonzero coefficients sit exactly on the
+    graph's edges."""
+
     graph: ParentGraph
     a: np.ndarray       # unit upper-triangular coefficient matrix of A Y = eps
     dvar: np.ndarray    # positive residual variances (diagonal of Delta)
@@ -46,6 +51,8 @@ class TriangularSystem:
         n = self.graph.dim
         if a.shape != (n, n) or d.shape != (n,):
             raise OracleError("system dimensions do not match the graph")
+        if not (np.isfinite(a).all() and np.isfinite(d).all()):
+            raise OracleError("coefficients and residual variances must be finite")
         if not (d > 0).all():
             raise OracleError("residual variances must be positive")
         if not np.array_equal(indicator(a) - np.eye(n, dtype=np.int8), self.graph.amat - np.eye(n, dtype=np.int8)):

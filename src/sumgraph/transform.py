@@ -8,6 +8,10 @@ Three equivalent routes produce the summary graph of a reduced node set:
   (``summary_from_summary``);
 * the node-at-a-time route (``step_marginalise`` / ``step_condition``)
   that inserts edges for two-edge configurations at the operated node.
+  Its work graph keeps a summary graph's invariant between steps (edges
+  within v are full lines, edges between u and v are arrows into u), so
+  each step costs its closure work plus the edges it adds and the nodes
+  it moves from u to v, not a pass over the whole graph.
 
 The module also derives the overall covariance and concentration graphs,
 order-respecting regression graphs, and the MAG that is Markov
@@ -34,8 +38,6 @@ from .graph_model import (
     DASHED,
     FULL,
     HEAD,
-    LINE,
-    TAIL,
     Edge,
     GraphModelError,
     Mag,
@@ -262,17 +264,7 @@ def is_collision_pair(mark_in: str, mark_out: str) -> bool:
     return mark_in in (HEAD, DASH) and mark_out in (HEAD, DASH)
 
 
-def induced_edge_kind(mark_x: str, mark_y: str) -> tuple[str, Optional[str]]:
-    """Edge induced for the outer pair of a two-edge path, given the edge-end
-    marks at the outer nodes x and y.  Returns (kind, end holding the
-    arrowhead: 'x' | 'y' | None).
-
-    This one rule reproduces every cell of the stepwise construction table:
-    an endpoint keeps an arrowhead-like end (head or dash) and the combination
-    of the two ends fixes the induced kind.
-    """
-    at_x = mark_x in (HEAD, DASH)
-    at_y = mark_y in (HEAD, DASH)
+def _induced_kind(at_x: bool, at_y: bool) -> tuple[str, Optional[str]]:
     if at_x and at_y:
         return DASHED, None
     if at_x:
@@ -282,26 +274,50 @@ def induced_edge_kind(mark_x: str, mark_y: str) -> tuple[str, Optional[str]]:
     return FULL, None
 
 
+def induced_edge_kind(mark_x: str, mark_y: str) -> tuple[str, Optional[str]]:
+    """Edge induced for the outer pair of a two-edge path, given the edge-end
+    marks at the outer nodes x and y.  Returns (kind, end holding the
+    arrowhead: 'x' | 'y' | None).
+
+    This one rule reproduces every cell of the stepwise construction table:
+    an endpoint keeps an arrowhead-like end (head or dash) and the combination
+    of the two ends fixes the induced kind.
+    """
+    return _induced_kind(mark_x in (HEAD, DASH), mark_y in (HEAD, DASH))
+
+
 _EdgeItem = tuple  # ("arrow", head_id) | ("dashed",) | ("full",)
 
 
-def _mark(item: _EdgeItem, node: NodeId) -> str:
-    if item[0] == ARROW:
-        return HEAD if item[1] == node else TAIL
-    return DASH if item[0] == DASHED else LINE
+def _headlike(item: _EdgeItem, node: NodeId) -> bool:
+    """Whether the end of ``item`` at ``node`` is a head or a dash."""
+    return item[0] == DASHED or (item[0] == ARROW and item[1] == node)
 
 
 class _WorkGraph:
-    """Mutable multigraph on which the step operators run: the edges by node
-    pair, an adjacency index and the position of every node in u + v."""
+    """Mutable multigraph on which the step operators run: for every node the
+    edges to each neighbour (one set of items shared by both ends) and the
+    position of every node in u + v.
+
+    Between steps the graph keeps the invariant of a summary graph: edges
+    within v are full lines only, edges between u and v are arrows into u,
+    and the u order puts every node before its parents.  So a step only has
+    to restore it where it changed the graph: on the edges it added and the
+    edges of the nodes it moved from u to v.  ``fresh`` holds the node pairs
+    added to since the last step (at the start, the arrows stored against
+    the given u order), and each step costs its closure work plus the edges
+    it adds and the nodes it moves, with one O(n) re-indexing of the order.
+    """
 
     def __init__(self, g: SummaryGraph):
-        self.edges: dict[frozenset, set[_EdgeItem]] = {}
-        self.adj: dict[NodeId, set[NodeId]] = {n: set() for n in g.nodes}
+        self.adj: dict[NodeId, dict[NodeId, set[_EdgeItem]]] = {n: {} for n in g.nodes}
+        self.fresh: list[tuple[NodeId, NodeId]] = []
         u, v = g.u_nodes, g.v_nodes
         for i, k in np.argwhere(g.h_uu):
             if i != k:
                 self._add(u[i], u[k], (ARROW, u[i]))
+                if k < i:
+                    self.fresh.append((u[i], u[k]))
         for i, k in np.argwhere(g.h_uv):
             self._add(u[i], v[k], (ARROW, u[i]))
         for i, k in np.argwhere(np.triu(g.w_uu, 1)):
@@ -316,22 +332,13 @@ class _WorkGraph:
         self.pos = {n: i for i, n in enumerate(u + v)}
 
     def _add(self, x: NodeId, y: NodeId, item: _EdgeItem) -> bool:
-        bucket = self.edges.setdefault(frozenset((x, y)), set())
-        if item in bucket:
+        bucket = self.adj[x].get(y)
+        if bucket is None:
+            bucket = self.adj[x][y] = self.adj[y][x] = set()
+        elif item in bucket:
             return False
         bucket.add(item)
-        self.adj[x].add(y)
-        self.adj[y].add(x)
         return True
-
-    def neighbors(self, x: NodeId) -> list[NodeId]:
-        return sorted(self.adj[x], key=self.pos.__getitem__)
-
-    def items(self, x: NodeId, y: NodeId) -> set[_EdgeItem]:
-        return self.edges.get(frozenset((x, y)), set())
-
-    def _is_arrow(self, tail: NodeId, head: NodeId) -> bool:
-        return (ARROW, head) in self.edges[frozenset((tail, head))]
 
     def ancestors(self, node: NodeId) -> set[NodeId]:
         """Nodes with a directed path to ``node`` (arrows only)."""
@@ -339,97 +346,128 @@ class _WorkGraph:
         stack = [node]
         while stack:
             x = stack.pop()
-            for par in self.adj[x]:
-                if par not in out and self._is_arrow(par, x):
+            for par, bucket in self.adj[x].items():
+                if par not in out and (ARROW, x) in bucket:
                     out.add(par)
                     stack.append(par)
         out.discard(node)
         return out
 
-    def induce_at(self, w: NodeId, collision: bool) -> bool:
+    def induce_at(self, w: NodeId, collision: bool) -> list[tuple[NodeId, NodeId]]:
         """Insert the edges the construction table prescribes for every pair of
         neighbors of ``w``, taking w as a collision node (conditioning) or a
-        transmitting node (marginalising).  Returns whether anything changed."""
-        changed = False
-        nbrs = self.neighbors(w)
-        for xi in range(len(nbrs)):
-            for yi in range(xi + 1, len(nbrs)):
-                x, y = nbrs[xi], nbrs[yi]
-                for e1 in self.items(x, w):
-                    for e2 in self.items(w, y):
-                        if is_collision_pair(_mark(e1, w), _mark(e2, w)) != collision:
+        transmitting node (marginalising).  Reads only the edges at w, each
+        once; returns the node pairs it added an edge to."""
+        # per neighbour x, the (end at w, end at x) pairs of its edges to w,
+        # each end read as arrowhead-like or not; a collision needs both
+        # ends at w arrowhead-like, so it skips the other edges
+        ends = []
+        for x, bucket in self.adj[w].items():
+            pairs = {(_headlike(item, w), _headlike(item, x)) for item in bucket}
+            if collision:
+                pairs = [p for p in pairs if p[0]]
+            if pairs:
+                ends.append((x, pairs))
+        added = []
+        for xi, (x, ends_x) in enumerate(ends):
+            for y, ends_y in ends[xi + 1:]:
+                for w_x, at_x in ends_x:
+                    for w_y, at_y in ends_y:
+                        if (w_x and w_y) != collision:
                             continue
-                        kind, head_end = induced_edge_kind(_mark(e1, x), _mark(e2, y))
+                        kind, head_end = _induced_kind(at_x, at_y)
                         if kind == ARROW:
                             item = (ARROW, x if head_end == "x" else y)
                         else:
                             item = (kind,)
-                        changed |= self._add(x, y, item)
-        return changed
+                        if self._add(x, y, item):
+                            added.append((x, y))
+        return added
 
-    def retype(self, v_new: set[NodeId]) -> None:
-        """Turn every edge within the new v into a full line and every edge
-        between the new u and v into an arrow from v to u."""
-        for x in v_new:
-            for y in self.adj[x]:
-                self.edges[frozenset((x, y))] = {(FULL,)} if y in v_new else {(ARROW, y)}
+    def retype(self, v_new: set[NodeId], pairs: Iterable[tuple[NodeId, NodeId]]) -> None:
+        """Turn each of the edges on ``pairs`` that lies within the new v into
+        a full line and each between the new u and v into an arrow from v to
+        u; leave edges within u alone."""
+        for x, y in pairs:
+            x_in, y_in = x in v_new, y in v_new
+            if x_in or y_in:
+                bucket = self.adj[x][y]
+                bucket.clear()
+                bucket.add((FULL,) if x_in and y_in else (ARROW, y if x_in else x))
 
     def delete(self, node: NodeId) -> None:
         for y in self.adj.pop(node):
-            self.adj[y].discard(node)
-            del self.edges[frozenset((node, y))]
+            del self.adj[y][node]
 
     def _settle(self, u: list[NodeId], v: list[NodeId]) -> None:
         """Take the new (u, v), re-sorting u as ``from_edge_list`` would should
         an arrow within u break its order, so that the next step sees the
-        node order of a work graph rebuilt from this step's summary graph."""
+        node order of a work graph rebuilt from this step's summary graph.
+        Dropping nodes keeps an order topological, so only the arrows on the
+        ``fresh`` pairs can break it."""
         self._order(u, v)
-        if any(self.pos[y] < self.pos[x] and self._is_arrow(y, x) for x in u for y in self.adj[x]):
+        nu, pos = len(u), self.pos
+        if any(
+            pos.get(x, nu) < nu and pos.get(y, nu) < nu
+            and (ARROW, x if pos[y] < pos[x] else y) in self.adj[x][y]
+            for x, y in self.fresh
+        ):
             arrows = [
                 Edge(tail=y, head=x, kind=ARROW)
                 for x in u
-                for y in self.adj[x]
-                if y in u and self._is_arrow(y, x)
+                for y, bucket in self.adj[x].items()
+                if pos[y] < nu and (ARROW, x) in bucket
             ]
             self._order(_topological_u_order(u, arrows), v)
+        self.fresh = []
 
     def marginalise(self, t: NodeId) -> None:
         """Close every transmitting two-edge path through t, then drop t."""
-        self.induce_at(t, collision=False)
-        self.retype(set(self.v) - {t})
+        self.fresh += self.induce_at(t, collision=False)
+        v = [n for n in self.v if n != t]
+        self.retype(set(v), self.fresh)
         self.delete(t)
         self.provenance = _extended_provenance(self.provenance, marginalising=(t,))
-        self._settle([n for n in self.u if n != t], [n for n in self.v if n != t])
+        self._settle([n for n in self.u if n != t], v)
 
     def condition(self, s: NodeId) -> None:
-        """Close collision two-edge paths at s and its ancestors until nothing
-        changes, move the ancestors within u into v, re-type their edges and
-        drop s."""
-        closure_nodes = [s] + sorted(self.ancestors(s), key=self.pos.__getitem__)
-        changed = True
-        while changed:
-            changed = False
-            for w in closure_nodes:
-                changed |= self.induce_at(w, collision=True)
-        v_new = (set(self.v) | self.ancestors(s) & set(self.u)) - {s}
-        self.retype(v_new)
+        """Close collision two-edge paths at s and its ancestors, move the
+        ancestors within u into v, re-type their edges and drop s.
+
+        The closure runs a worklist: a node is visited again only after an
+        edge at it was added, since ``induce_at`` reads nothing else.  The
+        closed edge set is the least fixpoint, whatever the order of visits.
+        Every arrow it adds has its tail among the ancestors, so the
+        ancestor set does not grow."""
+        closure = self.ancestors(s) | {s}
+        todo, queued = list(closure), set(closure)
+        while todo:
+            w = todo.pop()
+            queued.discard(w)
+            for pair in self.induce_at(w, collision=True):
+                self.fresh.append(pair)
+                for z in pair:
+                    if z in closure and z not in queued:
+                        queued.add(z)
+                        todo.append(z)
+        moved = [n for n in self.u if n in closure and n != s]
+        v = [n for n in self.v if n != s] + moved
+        self.retype(set(v), self.fresh + [(m, y) for m in moved for y in self.adj[m]])
         self.delete(s)
         self.provenance = _extended_provenance(self.provenance, conditioning=(s,))
-        self._settle(
-            [n for n in self.u if n != s and n not in v_new],
-            [n for n in self.v if n != s] + [n for n in self.u if n in v_new],
-        )
+        self._settle([n for n in self.u if n not in closure], v)
 
     def to_summary(self) -> SummaryGraph:
         edges = []
-        for key, bucket in self.edges.items():
-            x, y = key
-            for item in bucket:
-                if item[0] == ARROW:
-                    head = item[1]
-                    edges.append(Edge(tail=y if head == x else x, head=head, kind=ARROW))
-                else:
-                    edges.append(Edge(tail=x, head=y, kind=item[0]))
+        pos = self.pos
+        for x, nbrs in self.adj.items():
+            for y, bucket in nbrs.items():
+                for item in bucket:
+                    if item[0] == ARROW:
+                        if item[1] == x:  # each arrow once, from its head
+                            edges.append(Edge(tail=y, head=x, kind=ARROW))
+                    elif pos[x] < pos[y]:
+                        edges.append(Edge(tail=x, head=y, kind=item[0]))
         return from_edge_list(edges, self.u, self.v, self.provenance)
 
 

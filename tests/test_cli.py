@@ -299,3 +299,14 @@ def test_edge_matrix_errors_exit_two(monkeypatch):
     code, out, err = run(["transform", str(DATA / "iv.g"), "--marginalise", "4"])
     assert (code, out) == (2, "")
     assert err == "sumgraph: edge matrix entries must be 0 or 1\n"
+
+
+def test_ids_starting_with_a_dash_are_passed_with_an_equals_sign(tmp_path):
+    path = tmp_path / "dash.g"
+    path.write_text("nodes: -a 2 -3\n-a <- 2\n2 <- -3\n")
+    code, out, _ = run(["transform", str(path), "--condition=-a,2"])
+    assert code == 0 and out == "nodes: -3\nu:\nv: -3\n"
+    code, out, _ = run(["query", str(path), "--alpha=-a", "--beta=-3", "--given=2"])
+    assert code == 0 and out == "IMPLIED\n"
+    # without it argparse reads the id as an option and exits 2
+    assert run(["transform", str(path), "--condition", "-a"])[0] == 2

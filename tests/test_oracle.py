@@ -8,6 +8,7 @@ from sumgraph.graph_model import ParentGraph
 from sumgraph.oracle import (
     CovariancePair,
     OracleError,
+    TriangularSystem,
     _check_recovered_conditional_covariance,
     _conditional_covariance_of_u,
     conditional_covariance,
@@ -116,6 +117,35 @@ def test_one_pass_sampling_keeps_the_stream_at_its_edges():
 def test_system_from_coefficients_requires_every_edge(iv_graph):
     with pytest.raises(OracleError):
         system_from_coefficients(iv_graph, {(1, 2): 0.4})
+
+
+# (row, column) of a, or None for the residual variance of node 2
+_CELLS = {"edge": (0, 1), "diagonal": (1, 1), "absent_edge": (1, 0), "variance": None}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cell", list(_CELLS))
+def test_system_rejects_a_non_finite_entry(cell, value):
+    # 1 <- 2: a nan or inf coefficient used to escape as EdgeMatrixError,
+    # and an inf variance passed the positivity check
+    g = dag([1, 2], [(1, 2)])
+    a = np.array([[1.0, -0.5], [0.0, 1.0]])
+    dvar = np.ones(2)
+    if _CELLS[cell] is None:
+        dvar[1] = value
+    else:
+        a[_CELLS[cell]] = value
+    with pytest.raises(OracleError, match="finite"):
+        TriangularSystem(g, a, dvar)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_system_from_coefficients_rejects_a_non_finite_value(iv_graph, value):
+    coefficients = {(1, 2): 0.4, (1, 4): 0.3, (2, 3): 0.5, (2, 4): value}
+    with pytest.raises(OracleError, match="finite"):
+        system_from_coefficients(iv_graph, coefficients)
+    with pytest.raises(OracleError, match="finite"):
+        system_from_coefficients(iv_graph, {**coefficients, (2, 4): 0.2}, {3: value})
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,17 @@ import pytest
 
 from sumgraph.graph_model import (
     ARROW,
+    DASH,
     DASHED,
     FULL,
+    HEAD,
+    LINE,
+    TAIL,
     Edge,
     ParentGraph,
+    Provenance,
     SummaryGraph,
+    _topological_u_order,
     classify,
     from_edge_list,
     parent_to_summary,
@@ -20,6 +26,8 @@ from sumgraph.transform import (
     compute_split,
     induced_concentration_graph,
     induced_covariance_graph,
+    induced_edge_kind,
+    is_collision_pair,
     mag_from_summary,
     regression_graph_from_parent,
     spec_of,
@@ -32,6 +40,7 @@ from sumgraph.transform import (
 )
 
 from conftest import dag, random_dag, random_spec, same_graph
+from test_decision_layer import _complete_v, _cycle_v
 
 
 def edge_set(g):
@@ -410,3 +419,178 @@ def test_stepwise_trace_equals_chained_single_steps():
         last = stepwise_reduce(g, spec, c_order, m_order, condition_first)
         want = trace[-1][2] if trace else parent_to_summary(g) if isinstance(g, ParentGraph) else g
         assert last == want and last.provenance == want.provenance, case
+
+
+# ---------------------------------------------------------------------------
+# the incremental steps against the whole-graph steps they replaced
+
+
+def _mark(item, node):
+    if item[0] == ARROW:
+        return HEAD if item[1] == node else TAIL
+    return DASH if item[0] == DASHED else LINE
+
+
+class WholeGraphSteps:
+    """The step operators written out as whole-graph passes: every step
+    re-types the edges of every v node and scans every arrow at u for the
+    u order, and conditioning repeats its sweep over s and the ancestors of
+    s until a whole sweep adds nothing."""
+
+    def __init__(self, g):
+        self.edges, self.adj = {}, {n: set() for n in g.nodes}
+        u, v = g.u_nodes, g.v_nodes
+        for i, k in np.argwhere(g.h_uu):
+            if i != k:
+                self.add(u[i], u[k], (ARROW, u[i]))
+        for i, k in np.argwhere(g.h_uv):
+            self.add(u[i], v[k], (ARROW, u[i]))
+        for i, k in np.argwhere(np.triu(g.w_uu, 1)):
+            self.add(u[i], u[k], (DASHED,))
+        for i, k in np.argwhere(np.triu(g.s_vv, 1)):
+            self.add(v[i], v[k], (FULL,))
+        self.prov = g.provenance or Provenance()
+        self.order(list(u), list(v))
+
+    def order(self, u, v):
+        self.u, self.v = u, v
+        self.pos = {n: i for i, n in enumerate(u + v)}
+
+    def add(self, x, y, item):
+        bucket = self.edges.setdefault(frozenset((x, y)), set())
+        if item in bucket:
+            return False
+        bucket.add(item)
+        self.adj[x].add(y)
+        self.adj[y].add(x)
+        return True
+
+    def is_arrow(self, tail, head):
+        return (ARROW, head) in self.edges[frozenset((tail, head))]
+
+    def ancestors(self, node):
+        out, stack = set(), [node]
+        while stack:
+            x = stack.pop()
+            for par in self.adj[x]:
+                if par not in out and self.is_arrow(par, x):
+                    out.add(par)
+                    stack.append(par)
+        out.discard(node)
+        return out
+
+    def induce_at(self, w, collision):
+        changed = False
+        nbrs = sorted(self.adj[w], key=self.pos.__getitem__)
+        for xi, x in enumerate(nbrs):
+            for y in nbrs[xi + 1:]:
+                for e1 in self.edges[frozenset((x, w))]:
+                    for e2 in self.edges[frozenset((w, y))]:
+                        if is_collision_pair(_mark(e1, w), _mark(e2, w)) != collision:
+                            continue
+                        kind, head_end = induced_edge_kind(_mark(e1, x), _mark(e2, y))
+                        item = (ARROW, x if head_end == "x" else y) if kind == ARROW else (kind,)
+                        changed |= self.add(x, y, item)
+        return changed
+
+    def retype(self, v_new):
+        for x in v_new:
+            for y in self.adj[x]:
+                self.edges[frozenset((x, y))] = {(FULL,)} if y in v_new else {(ARROW, y)}
+
+    def delete(self, node):
+        for y in self.adj.pop(node):
+            self.adj[y].discard(node)
+            del self.edges[frozenset((node, y))]
+
+    def settle(self, u, v):
+        self.order(u, v)
+        if any(self.pos[y] < self.pos[x] and self.is_arrow(y, x) for x in u for y in self.adj[x]):
+            arrows = [Edge(y, x, ARROW) for x in u for y in self.adj[x] if y in u and self.is_arrow(y, x)]
+            self.order(_topological_u_order(u, arrows), v)
+
+    def marginalise(self, t):
+        self.induce_at(t, collision=False)
+        self.retype(set(self.v) - {t})
+        self.delete(t)
+        self.prov = Provenance(self.prov.conditioning, self.prov.marginalising | {t})
+        self.settle([n for n in self.u if n != t], [n for n in self.v if n != t])
+
+    def condition(self, s):
+        closure_nodes = [s] + sorted(self.ancestors(s), key=self.pos.__getitem__)
+        while any([self.induce_at(w, collision=True) for w in closure_nodes]):
+            pass
+        v_new = (set(self.v) | self.ancestors(s) & set(self.u)) - {s}
+        self.retype(v_new)
+        self.delete(s)
+        self.prov = Provenance(self.prov.conditioning | {s}, self.prov.marginalising)
+        self.settle(
+            [n for n in self.u if n != s and n not in v_new],
+            [n for n in self.v if n != s] + [n for n in self.u if n in v_new],
+        )
+
+    def snapshot(self):
+        edges = []
+        for key, bucket in self.edges.items():
+            x, y = key
+            for item in bucket:
+                if item[0] == ARROW:
+                    edges.append(Edge(y if item[1] == x else x, item[1], ARROW))
+                else:
+                    edges.append(Edge(x, y, item[0]))
+        return from_edge_list(edges, self.u, self.v, self.prov)
+
+
+def whole_graph_trace(g, c_order, m_order, condition_first):
+    work = WholeGraphSteps(g)
+    ops = [("condition", x) for x in c_order] + [("marginalise", x) for x in m_order]
+    if not condition_first:
+        ops = ops[len(c_order):] + ops[:len(c_order)]
+    out = []
+    for op, x in ops:
+        getattr(work, op)(x)
+        out.append((op, x, work.snapshot()))
+    return out
+
+
+def _step_inputs(k):
+    """Dense DAGs, complete-v and cycle-v regression graphs and sparse DAGs
+    of up to 60 nodes, in turn; every other dense one reduced first and
+    stored with u in an arbitrary order."""
+    rng = np.random.default_rng([31, k])
+    kind = k % 4
+    if kind == 0:
+        g = random_dag(rng, int(rng.integers(3, 10)), p=0.6)
+        if k % 8 == 4:
+            g = summary_from_parent(g, random_spec(rng, g.nodes, max_c=1, max_m=2))
+            p = [int(i) for i in rng.permutation(len(g.u_nodes))]
+            g = SummaryGraph(tuple(g.u_nodes[i] for i in p), g.v_nodes, g.h_uu[np.ix_(p, p)],
+                             g.h_uv[p], g.w_uu[np.ix_(p, p)], g.s_vv, g.provenance)
+    elif kind == 1:
+        g = _complete_v(rng)
+    elif kind == 2:
+        g = _cycle_v(rng)
+    else:
+        n = int(rng.integers(10, 61))
+        g = random_dag(rng, n, p=3.0 / n)
+    nodes = list(g.nodes)
+    rng.shuffle(nodes)
+    n_c = int(rng.integers(0, min(4, len(nodes)) + 1))
+    n_m = int(rng.integers(0, min(5, len(nodes) - n_c) + 1))
+    return g, nodes[:n_c], nodes[n_c:n_c + n_m]
+
+
+def test_incremental_steps_equal_the_whole_graph_steps():
+    moved = 0
+    for k in range(240):
+        g, c_order, m_order = _step_inputs(k)
+        spec = MarginalConditionSpec(frozenset(c_order), frozenset(m_order))
+        for condition_first in (True, False):
+            got = stepwise_trace(g, spec, c_order, m_order, condition_first)
+            start = parent_to_summary(g) if isinstance(g, ParentGraph) else g
+            want = whole_graph_trace(start, c_order, m_order, condition_first)
+            assert [(op, x) for op, x, _ in got] == [(op, x) for op, x, _ in want], k
+            for (_, _, a), (_, _, b) in zip(got, want):
+                assert a == b and a.provenance == b.provenance, (k, condition_first)
+            moved += sum(len(b.v_nodes) > len(start.v_nodes) for _, _, b in want)
+    assert moved > 100
