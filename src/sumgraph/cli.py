@@ -236,9 +236,15 @@ def emit_graph(
         lines.append(("v: " + " ".join(str(n) for n in graph.v_nodes)).rstrip())
         edges = to_edge_list(graph)
 
+    key = {n: _id_key(n) for n in graph.nodes}
+
+    def ends(e: Edge) -> tuple[NodeId, NodeId]:
+        """The endpoints in id order, the tail first on a tie."""
+        return (e.head, e.tail) if key[e.head] < key[e.tail] else (e.tail, e.head)
+
     def edge_key(e: Edge):
-        lo, hi = sorted((e.tail, e.head), key=_id_key)
-        return (_id_key(lo), _id_key(hi), e.kind)
+        lo, hi = ends(e)
+        return (key[lo], key[hi], e.kind)
 
     for e in sorted(edges, key=edge_key):
         if e.kind == ARROW:
@@ -246,7 +252,7 @@ def emit_graph(
             if system is not None:
                 line += f" : {system.coefficient(e.head, e.tail)!r}"
         else:
-            lo, hi = sorted((e.tail, e.head), key=_id_key)
+            lo, hi = ends(e)
             line = f"{lo} {_SYMBOL[e.kind]} {hi}"
         lines.append(line)
     if system is not None:

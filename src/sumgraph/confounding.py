@@ -13,7 +13,6 @@ and implicit-marginalisation sets in the derived summary graph
 from __future__ import annotations
 
 from dataclasses import dataclass
-import numpy as np
 
 from .graph_model import (
     DASH,
@@ -21,11 +20,10 @@ from .graph_model import (
     NodeId,
     ParentGraph,
     SummaryGraph,
-    TAIL,
     double_edges,
     parent_to_summary,
 )
-from .queries import PathWitness, QueryError, active_paths
+from .queries import PathWitness, QueryError, _listed, _path_search, active_paths
 from .transform import MarginalConditionSpec, summary_from_parent
 
 UNDISTORTED = "undistorted"
@@ -127,7 +125,8 @@ def audit_edge(
         status = INDIRECT
     else:
         status = UNDISTORTED
-    pair = tuple(sorted((i, k), key=lambda n: summary.u_nodes.index(n)))
+    # double_edges lists each pair in u order
+    pair = tuple(sorted((i, k), key=summary.u_nodes.index))
     return ConfoundingReport(
         edge=edge,
         status=status,
@@ -137,7 +136,7 @@ def audit_edge(
         marginalising=spec.marginalising,
         c_i=c_i,
         m_i=m_i,
-        double_edge=pair in double_edges(summary) or tuple(reversed(pair)) in double_edges(summary),
+        double_edge=pair in double_edges(summary),
     )
 
 
@@ -169,7 +168,15 @@ def residual_associating_paths(
 def indirect_paths(g: SummaryGraph, edge: tuple[NodeId, NodeId]) -> list[PathWitness]:
     """Collision ik-paths whose inner nodes are all forefathers of i, of the
     two shapes i ~~ ... ~~ k and i ~~ ... <- k.  Only defined for summary
-    graphs without double edges."""
+    graphs without double edges.
+
+    They are the active paths of the shared path search with no node
+    marginalised, the forefathers (ancestors of i within u that are not
+    its parents) as the only nodes enabled as collisions, and the edge
+    i, k skipped.  Every inner node is then a collision node, so the
+    edges between inner nodes are dashed; the last edge is dashed or an
+    arrow from k, and the first is dashed, since an arrow from i into an
+    ancestor of i would close a directed cycle."""
     doubles = double_edges(g)
     if doubles:
         raise ConfoundingError(
@@ -178,48 +185,13 @@ def indirect_paths(g: SummaryGraph, edge: tuple[NodeId, NodeId]) -> list[PathWit
     i, k = edge
     if i not in g.u_nodes or k not in g.u_nodes:
         raise ConfoundingError(f"edge endpoints {edge} must both lie in u")
-    anc = g.ancestors_in_u(i)
-    parents_i = {
-        g.u_nodes[j]
-        for j in np.flatnonzero(g.h_uu[g.u_nodes.index(i)])
-        if g.u_nodes[j] != i
-    }
-    ui = {n: j for j, n in enumerate(g.u_nodes)}
-    forefathers = sorted(anc - parents_i, key=lambda n: ui[n])
-    out: list[PathWitness] = []
-
-    def dashed(x, y):
-        return bool(g.w_uu[ui[x], ui[y]]) and x != y
-
-    def arrow_from(head, tail):
-        return bool(g.h_uu[ui[head], ui[tail]]) and head != tail
-
-    def extend(path: list[NodeId]):
-        last = path[-1]
-        # close with the final edge to k
-        if len(path) > 1:
-            if dashed(last, k):
-                out.append(_witness_dashed_chain(path + [k], final="dashed"))
-            if arrow_from(last, k):
-                out.append(_witness_dashed_chain(path + [k], final="arrow"))
-        for nxt in forefathers:
-            if nxt in path or nxt == k:
-                continue
-            if dashed(last, nxt):
-                extend(path + [nxt])
-
-    extend([i])
-    order = {n: j for j, n in enumerate(g.u_nodes)}
-    out.sort(key=lambda w: (len(w.nodes), tuple(order[n] for n in w.nodes)))
-    return out
-
-
-def _witness_dashed_chain(nodes: list[NodeId], final: str) -> PathWitness:
-    marks = [(DASH, DASH)] * (len(nodes) - 1)
-    if final == "arrow":
-        marks[-1] = (HEAD, TAIL)
-    statuses = tuple("collision" for _ in nodes[1:-1])
-    return PathWitness(nodes=tuple(nodes), marks=tuple(marks), inner_status=statuses)
+    index = g.edge_index
+    parents_i = {g.nodes[j] for j in index.parents[index.position[i]]}
+    forefathers = g.ancestors_in_u(i) - parents_i
+    skip = frozenset([frozenset((i, k))])
+    return _listed(
+        _path_search(g, frozenset([i]), frozenset([k]), frozenset(), forefathers, skip, len(g.nodes) + 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -184,17 +184,30 @@ class SummaryGraph:
         read-only, so the index cannot go stale."""
         return _compile(self)
 
+    @cached_property
+    def _arrow_closure(self) -> np.ndarray:
+        """The reflexive-transitive closure of h_uu, formed on first use and
+        kept read-only: (i, k) = 1 iff u node k is u node i or an ancestor
+        of it.  Not part of ``edge_index``, so queries that never ask for
+        ancestors do not pay for it."""
+        closed = reach_closure(self.h_uu)
+        closed.setflags(write=False)
+        return closed
+
     def ancestors_in_u(self, node: NodeId) -> frozenset:
         """Ancestors of a u node within u, via arrows of h_uu (node excluded)."""
         i = self.u_nodes.index(node)
-        closed = reach_closure(self.h_uu)
-        return frozenset(self.u_nodes[k] for k in np.flatnonzero(closed[i]) if k != i)
+        return frozenset(self.u_nodes[k] for k in np.flatnonzero(self._arrow_closure[i]) if k != i)
 
     def descendants(self, node: NodeId) -> frozenset:
-        """Descendants via arrows (h_uu and h_uv), node excluded."""
-        closed = reach_closure(_full_arrow_matrix(self))
+        """Descendants via arrows (h_uu and h_uv), node excluded, read off
+        the arrow closure: a u node's column, or for a v node the union of
+        its u children's columns (only u nodes have parents)."""
+        nu = len(self.u_nodes)
         j = self.nodes.index(node)
-        return frozenset(self.nodes[i] for i in np.flatnonzero(closed[:, j]) if i != j)
+        closed = self._arrow_closure
+        below = closed[:, j] if j < nu else closed[:, self.h_uv[:, j - nu] == 1].any(axis=1)
+        return frozenset(self.u_nodes[i] for i in np.flatnonzero(below) if i != j)
 
 
 @dataclass(frozen=True)
@@ -240,16 +253,6 @@ def _compile(g: SummaryGraph) -> EdgeIndex:
     for n, recs in adjacency.items():
         adjacency[n] = tuple(sorted(recs, key=lambda rec: position[rec[0]]))
     return EdgeIndex(position, adjacency, tuple(map(tuple, parents)))
-
-
-def _full_arrow_matrix(g: SummaryGraph) -> np.ndarray:
-    """Arrow structure over all nodes: (i, k) = 1 iff i <- k (diagonal set)."""
-    n = len(g.nodes)
-    nu = len(g.u_nodes)
-    m = np.eye(n, dtype=np.int8)
-    m[:nu, :nu] |= g.h_uu
-    m[:nu, nu:] |= g.h_uv
-    return m
 
 
 class Mag(SummaryGraph):
@@ -424,22 +427,18 @@ def semi_directed_cycles(g: SummaryGraph) -> tuple[tuple[NodeId, ...], ...]:
     distinct node set is reported.
     """
     nu = len(g.u_nodes)
-    succ: dict[int, list[int]] = {i: [] for i in range(nu)}
-    for i in range(nu):
-        for k in range(nu):
-            if i == k:
-                continue
-            if g.h_uu[i, k]:  # i <- k: direction-preserving step k -> i
-                succ[k].append(i)
-            if g.w_uu[i, k]:
-                succ[k].append(i)
-    for i in succ:
-        succ[i] = sorted(set(succ[i]))
+    index = g.edge_index
+    # k -> i along an arrow i <- k or a dashed edge; the ends in u with an
+    # arrowhead or a dash are exactly those
+    succ = [
+        sorted({index.position[y] for y, _, mark_y in index.adjacency[x] if mark_y in (HEAD, DASH)})
+        for x in g.u_nodes
+    ]
     cycles: list[tuple[int, ...]] = []
     seen_sets: set[frozenset] = set()
     for i in range(nu):
-        for k in range(nu):
-            if i == k or not g.h_uu[i, k]:
+        for k in index.parents[i]:
+            if k >= nu:
                 continue
             path = _direction_preserving_path(succ, i, k)
             if path is None:
@@ -452,7 +451,7 @@ def semi_directed_cycles(g: SummaryGraph) -> tuple[tuple[NodeId, ...], ...]:
     return tuple(tuple(g.u_nodes[i] for i in cyc) for cyc in cycles)
 
 
-def _direction_preserving_path(succ: dict[int, list[int]], start: int, goal: int):
+def _direction_preserving_path(succ: list[list[int]], start: int, goal: int):
     """Shortest path start -> goal along the direction-preserving relation;
     a walk that reaches the goal always contains such a simple path."""
     from collections import deque

@@ -13,8 +13,11 @@ A witness is the shortest active path, ties broken by node order; it is
 found by a depth-first search whose length cap rises one node at a time
 and stops at the first length with a hit, so the longer paths are never
 listed.  ``active_paths`` still lists every path for the callers that
-report them all.  All of these read the edge lists each graph compiles
-once (``SummaryGraph.edge_index``).
+report them all, and ``confounding.indirect_paths`` runs the same
+generator (``_path_search``) with its forefathers as the only nodes
+enabled as collisions.  All of these read the edge lists each graph
+compiles once (``SummaryGraph.edge_index``); the ancestor sets of
+``local_markov`` come from the arrow closure each graph keeps beside it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .edge_matrix import reach_closure
 from .graph_model import (
     DASH,
     HEAD,
@@ -227,10 +229,14 @@ def active_paths(
     inner nodes), ordered by length then lexicographically by node order."""
     roles = _roles(g, alpha, beta, conditioning, marginalised)
     limit = max_len if max_len is not None else len(g.nodes)
-    found = [(len(key), key, _witness(nodes, marks))
-             for key, nodes, marks in _path_search(g, *roles, skip_direct, limit + 1)]
-    found.sort(key=lambda rec: rec[:2])
-    return [w for _, _, w in found]
+    return _listed(_path_search(g, *roles, skip_direct, limit + 1))
+
+
+def _listed(paths) -> list[PathWitness]:
+    """The paths of ``_path_search`` as witnesses, ordered by length, then
+    lexicographically by node position."""
+    found = sorted(paths, key=lambda path: (len(path[0]), path[0]))
+    return [_witness(nodes, marks) for _, nodes, marks in found]
 
 
 def _first_active_path(
@@ -317,70 +323,41 @@ def local_markov(g: SummaryGraph) -> list[IndependenceStatement]:
     prov = g.provenance
     context = frozenset(prov.conditioning) if prov is not None else frozenset()
     nu, nv = len(g.u_nodes), len(g.v_nodes)
-    closed = reach_closure(g.h_uu)
-    w = g.w_uu.astype(np.int64)
+    closed = g._arrow_closure
+    anc = [frozenset(np.flatnonzero(closed[a]).tolist()) - {a} for a in range(nu)]
     out: list[IndependenceStatement] = []
 
-    def confirmed(i, k, given) -> bool:
-        return not has_active_path(g, (i,), (k,), given)
+    def confirm(i, k, given, family) -> None:
+        if not has_active_path(g, (i,), (k,), given):
+            out.append(IndependenceStatement(i, k, given, family, context))
 
     # (1) within v, given the rest of v
     for a in range(nv):
         for b in range(a + 1, nv):
-            if g.s_vv[a, b]:
-                continue
-            i, k = g.v_nodes[a], g.v_nodes[b]
-            given = frozenset(set(g.v_nodes) - {i, k})
-            if confirmed(i, k, given):
-                out.append(IndependenceStatement(i, k, given, 1, context))
-    # (2) u to v, given the rest of v; path criterion only
+            if not g.s_vv[a, b]:
+                i, k = g.v_nodes[a], g.v_nodes[b]
+                confirm(i, k, frozenset(set(g.v_nodes) - {i, k}), 1)
+    # (2) u to v, given the rest of v
     for a in range(nu):
         for b in range(nv):
-            if g.h_uv[a, b]:
-                continue
-            i, k = g.u_nodes[a], g.v_nodes[b]
-            given = frozenset(set(g.v_nodes) - {k})
-            if confirmed(i, k, given):
-                out.append(IndependenceStatement(i, k, given, 2, context))
-    # (3) u pairs, the later node not an ancestor of the earlier
+            if not g.h_uv[a, b]:
+                k = g.v_nodes[b]
+                confirm(g.u_nodes[a], k, frozenset(set(g.v_nodes) - {k}), 2)
+    # (3) u pairs, the later node not an ancestor of the earlier, given v
+    # and their ancestors
     for a in range(nu):
-        anc_a = {k for k in range(nu) if k != a and closed[a, k]}
         for b in range(a + 1, nu):
-            if b in anc_a:
-                continue
-            anc_b = {k for k in range(nu) if k != b and closed[b, k]}
-            e = sorted((anc_a | anc_b) - {a, b})
-            cond_matrix = w[a, b] == 0
-            if cond_matrix and e:
-                w_ee_closed = reach_closure(g.w_uu[np.ix_(e, e)]).astype(np.int64)
-                cond_matrix = (
-                    w[np.ix_([a], e)] @ w_ee_closed @ w[np.ix_(e, [b])]
-                ).item() == 0
-            if not cond_matrix:
-                continue
-            i, k = g.u_nodes[a], g.u_nodes[b]
-            given = frozenset(set(g.v_nodes) | {g.u_nodes[x] for x in e})
-            if confirmed(i, k, given):
-                out.append(IndependenceStatement(i, k, given, 3, context))
-    # (4) u to its ancestors
+            if b not in anc[a]:
+                e = (anc[a] | anc[b]) - {a, b}
+                given = frozenset(set(g.v_nodes) | {g.u_nodes[x] for x in e})
+                confirm(g.u_nodes[a], g.u_nodes[b], given, 3)
+    # (4) u to its ancestors that are not parents, given v and the other
+    # ancestors
     for a in range(nu):
-        anc_a = sorted(k for k in range(nu) if k != a and closed[a, k])
-        if not anc_a:
-            continue
-        w_cc_closed = reach_closure(g.w_uu[np.ix_(anc_a, anc_a)]).astype(np.int64)
-        h64 = g.h_uu.astype(np.int64)
-        for b in anc_a:
-            if g.h_uu[a, b]:
-                continue
-            cond_matrix = (
-                w[np.ix_([a], anc_a)] @ w_cc_closed @ h64[np.ix_(anc_a, [b])]
-            ).item() == 0
-            if not cond_matrix:
-                continue
-            i, k = g.u_nodes[a], g.u_nodes[b]
-            given = frozenset(set(g.v_nodes) | {g.u_nodes[x] for x in anc_a if x != b})
-            if confirmed(i, k, given):
-                out.append(IndependenceStatement(i, k, given, 4, context))
+        for b in sorted(anc[a]):
+            if not g.h_uu[a, b]:
+                given = frozenset(set(g.v_nodes) | {g.u_nodes[x] for x in anc[a] if x != b})
+                confirm(g.u_nodes[a], g.u_nodes[b], given, 4)
     return out
 
 

@@ -672,10 +672,8 @@ def mag_from_summary(g: SummaryGraph) -> Mag:
     nu = len(g.u_nodes)
     if nu and not is_unit_upper_triangular(g.h_uu):
         raise TransformError("h_uu is not unit upper-triangular in the stored u order")
-    closed = reach_closure(g.h_uu)
-    anc = [
-        frozenset(k for k in range(nu) if k != i and closed[i, k]) for i in range(nu)
-    ]
+    closed = g._arrow_closure
+    anc = [frozenset(np.flatnonzero(closed[i]).tolist()) - {i} for i in range(nu)]
     # (i, None) tests the arrows from i's ancestors, (i, ll) the dashed edge
     by_e: dict[frozenset, list] = {}
     for i in range(nu):

@@ -2,13 +2,16 @@
 every case with k <= 3 nodes and an evenly strided quarter of k = 4."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
+from sumgraph.queries import local_markov
 from sumgraph.transform import stepwise_reduce, summary_from_parent
 
 from census import dag_cases, dag_count
 from conftest import same_graph
+from test_decision_layer import confirmed_local_markov
 
 # every fourth k = 4 case, starting from the first
 K4_STRIDE = 4
@@ -35,3 +38,16 @@ def test_stepwise_route_agrees_with_the_parent_route_on_the_census():
             assert same_graph(got, ref), (g.amat.tolist(), spec, condition_first)
         cases += 1
     assert cases == 3 + 18 + 216 + 5184 // K4_STRIDE
+
+
+def test_local_markov_equals_the_query_confirmation_on_the_census():
+    # the reference still screens families 3 and 4 with the matrix tests
+    # that local_markov leaves to the path criterion alone
+    families = Counter()
+    for g, spec in census_slice():
+        s = summary_from_parent(g, spec)
+        got = local_markov(s)
+        assert got == confirmed_local_markov(s), (g.amat.tolist(), spec)
+        families.update(st.family for st in got)
+    # 278 statements of family 3 and 17 of family 4
+    assert families[3] > 250 and families[4] > 10

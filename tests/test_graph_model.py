@@ -316,3 +316,59 @@ def test_round_trip_identity_hypothesis(data):
                 edges.append(Edge(i, k, DASHED))
     g = from_edge_list(edges, u, v)
     assert from_edge_list(to_edge_list(g), g.u_nodes, g.v_nodes) == g
+
+
+# ---------------------------------------------------------------------------
+# descendants and ancestors, read off the cached arrow closure
+
+
+def descendants_by_bfs(g: SummaryGraph, node) -> set:
+    """Breadth first from ``node`` along the arrows of the edge list."""
+    children: dict = {}
+    for e in to_edge_list(g):
+        if e.kind == ARROW:
+            children.setdefault(e.tail, set()).add(e.head)
+    seen: set = set()
+    frontier = {node}
+    while frontier:
+        frontier = {c for x in frontier for c in children.get(x, ())} - seen
+        seen |= frontier
+    return seen - {node}
+
+
+def test_descendants_equal_a_search_over_the_edge_list():
+    rng = np.random.default_rng(26)
+    v_with_descendants = 0
+    for _ in range(300):
+        g = random_dag(rng, int(rng.integers(2, 12)), p=float(rng.uniform(0.1, 0.6)))
+        s = summary_from_parent(g, random_spec(rng, g.nodes))
+        for node in s.nodes:
+            below = descendants_by_bfs(s, node)
+            assert s.descendants(node) == below, (node, s.u_nodes, s.v_nodes)
+            v_with_descendants += node in s.v_nodes and bool(below)
+        for node in s.u_nodes:
+            ancestors = {x for x in s.u_nodes if node in descendants_by_bfs(s, x)}
+            assert s.ancestors_in_u(node) == ancestors
+    assert v_with_descendants > 100
+
+
+@pytest.mark.parametrize("n_children", [127, 128, 255, 256, 300])
+def test_descendants_of_a_v_node_with_many_children(n_children):
+    # u node 0 is a child of the u nodes 1..n, which are all children of
+    # the one v node: a count of those paths would overflow an int8
+    nu = n_children + 1
+    h_uu = np.eye(nu, dtype=np.int8)
+    h_uu[0, 1:] = 1
+    h_uv = np.zeros((nu, 1), dtype=np.int8)
+    h_uv[1:, 0] = 1
+    s = SummaryGraph(tuple(range(nu)), ("v",), h_uu, h_uv, np.eye(nu, dtype=np.int8), np.eye(1, dtype=np.int8))
+    assert s.descendants("v") == descendants_by_bfs(s, "v") == set(range(nu))
+    assert s.descendants(0) == set()
+    assert s.descendants(1) == {0}
+
+
+def test_arrow_closure_is_cached_and_read_only(indirect_graph):
+    s = summary_from_parent(indirect_graph, spec_of(marginalising=[5]))
+    closed = s._arrow_closure
+    assert closed is s._arrow_closure
+    assert not closed.flags.writeable
